@@ -1,12 +1,13 @@
 (* Command-line front end for the reproduction: generate TPC-C traces,
-   analyse them, run the Algorithm 2 simulator and sweeps, and reproduce
-   the Q1-Q6 device comparison.
+   analyse them, run the Algorithm 2 simulator and sweeps, reproduce the
+   Q1-Q6 device comparison, and regenerate the paper's whole evaluation.
 
      ipl_cli gen --warehouses 1 --buffer-mb 4 --transactions 5000 -o t.trace
      ipl_cli stats t.trace
      ipl_cli simulate t.trace --log-region-kb 16
      ipl_cli sweep t.trace
-     ipl_cli queries *)
+     ipl_cli queries
+     ipl_cli paper --quick --csv-dir plots *)
 
 open Cmdliner
 
@@ -54,18 +55,87 @@ let gen_cmd =
 let trace_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Trace file.")
 
+(* Figure 4's measurements of a trace: the three skews and the distinct
+   pages / erase units (15 pages each) in every window of 16 writes. *)
+type locality = {
+  log_refs : Locality.skew;
+  page_writes : Locality.skew;
+  erases : Locality.skew;
+  window_pages : float;
+  window_eus : float;
+}
+
+let locality trace =
+  {
+    log_refs = Locality.log_reference_skew trace ~top:2000;
+    page_writes = Locality.page_write_skew trace ~top:2000;
+    erases = Locality.erase_skew trace ~top:100 ~pages_per_eu:15;
+    window_pages = Locality.sliding_window_distinct trace ~window:16 `Pages;
+    window_eus = Locality.sliding_window_distinct trace ~window:16 (`Erase_units 15);
+  }
+
 let stats file =
   let trace = Trace_io.load file in
   Printf.printf "%s: %d events over a %d-page database\n" (Trace.name trace)
     (Trace.length trace) (Trace.db_pages trace);
   Format.printf "%a@." Trace.pp_stats (Trace.stats trace);
+  let l = locality trace in
   let show label s = Format.printf "  %-26s %a@." label Locality.pp_skew s in
-  show "log references" (Locality.log_reference_skew trace ~top:2000);
-  show "physical page writes" (Locality.page_write_skew trace ~top:2000);
-  show "erases (15 pages/unit)" (Locality.erase_skew trace ~top:100 ~pages_per_eu:15);
-  Printf.printf "  window-16 distinct pages: %.2f, erase units: %.2f\n"
-    (Locality.sliding_window_distinct trace ~window:16 `Pages)
-    (Locality.sliding_window_distinct trace ~window:16 (`Erase_units 15))
+  show "log references" l.log_refs;
+  show "physical page writes" l.page_writes;
+  show "erases (15 pages/unit)" l.erases;
+  Printf.printf "  window-16 distinct pages: %.2f, erase units: %.2f\n" l.window_pages
+    l.window_eus
+
+let table4 trace =
+  Paper.section "Table 4: update log statistics of the 1G.20M.100u trace";
+  let s = Trace.stats trace in
+  let row name (os : Trace.op_stats) total paper =
+    Printf.printf "  %-8s %9d (%5.2f%%)  avg %6.1f   (paper: %s)\n" name os.Trace.occurrences
+      (100.0 *. float_of_int os.Trace.occurrences /. float_of_int (max 1 total))
+      os.Trace.avg_length paper
+  in
+  row "Insert" s.Trace.insert s.Trace.total_logs "86902 (11.08%) avg 43.5";
+  row "Delete" s.Trace.delete s.Trace.total_logs "284 (0.06%) avg 20.0";
+  row "Update" s.Trace.update s.Trace.total_logs "697092 (88.88%) avg 49.4";
+  Printf.printf "  %-8s %9d (100.0%%)  avg %6.1f   (paper: 784278, avg 48.7)\n" "Total"
+    s.Trace.total_logs s.Trace.avg_log_length;
+  Printf.printf "  physical page writes: %d   (paper: 625527)\n" s.Trace.page_writes
+
+let figure4 ~csv_dir trace =
+  Paper.section "Figure 4: TPC-C update locality (1G.20M.100u trace)";
+  let l = locality trace in
+  let series label (s : Locality.skew) paper_note =
+    Printf.printf "  %-34s top-%d share %5.1f%%, gini %.3f, %d distinct keys\n" label
+      (Array.length s.Locality.top_counts)
+      (100.0 *. s.Locality.top_share)
+      s.Locality.gini s.Locality.distinct;
+    let pick i =
+      if i < Array.length s.Locality.top_counts then s.Locality.top_counts.(i) else 0
+    in
+    Printf.printf "    hottest keys: #1=%d #10=%d #100=%d #500=%d #2000=%d  %s\n" (pick 0)
+      (pick 9) (pick 99) (pick 499) (pick 1999) paper_note
+  in
+  series "(a) log references by page" l.log_refs "(paper: heavily skewed)";
+  series "(b) physical page writes" l.page_writes
+    "(paper: top 2000 pages take 29% of 625527 writes)";
+  series "(c) erases by erase unit" l.erases "(paper: clearly skewed across units)";
+  Paper.with_csv csv_dir "fig4.csv" (fun oc ->
+      output_string oc "rank,log_refs,page_writes\n";
+      let a = l.log_refs.Locality.top_counts and b = l.page_writes.Locality.top_counts in
+      for i = 0 to 1999 do
+        Printf.fprintf oc "%d,%d,%d\n" (i + 1)
+          (if i < Array.length a then a.(i) else 0)
+          (if i < Array.length b then b.(i) else 0)
+      done);
+  Printf.printf
+    "  sliding window of 16 physical writes: %.2f/16 distinct pages (%.1f%%), %.2f/16 \
+     distinct erase units (%.1f%%)\n"
+    l.window_pages
+    (100.0 *. l.window_pages /. 16.0)
+    l.window_eus
+    (100.0 *. l.window_eus /. 16.0);
+  Paper.note "paper: 99.9%% distinct pages, 93.1%% (14.89/16) distinct erase units"
 
 let stats_cmd =
   Cmd.v
@@ -74,8 +144,11 @@ let stats_cmd =
 
 (* ---------------- simulate ---------------- *)
 
-let simulate file log_region_kb tau_s flush_empty =
-  let trace = Trace_io.load file in
+(* Algorithm 2 over [trace] and its t_IPL cost. [tau_s] flushes the
+   in-memory log sector after a fixed record count (the paper's
+   pseudo-code) instead of byte-accurate fill. *)
+let simulate_trace ?(log_region_kb = Sim.default_params.Sim.log_region / 1024)
+    ?(flush_empty = false) ?tau_s trace =
   let params =
     {
       Sim.default_params with
@@ -85,11 +158,40 @@ let simulate file log_region_kb tau_s flush_empty =
     }
   in
   let r = Sim.run ~params trace in
+  (r, Cost.t_ipl ~sector_writes:r.Sim.sector_writes ~merges:r.Sim.merges ())
+
+let simulate file log_region_kb tau_s flush_empty =
+  let r, t_ipl = simulate_trace ~log_region_kb ~flush_empty ?tau_s (Trace_io.load file) in
   Format.printf "%a@." Sim.pp_result r;
-  let t_ipl = Cost.t_ipl ~sector_writes:r.Sim.sector_writes ~merges:r.Sim.merges () in
   Printf.printf "t_IPL = %.1f s;  t_Conv(0.9) = %.1f s;  t_Conv(0.5) = %.1f s\n" t_ipl
     (Cost.t_conv ~page_writes:r.Sim.page_write_events ~alpha:0.9 ())
     (Cost.t_conv ~page_writes:r.Sim.page_write_events ~alpha:0.5 ())
+
+let table5 (study : Paper.study) =
+  Paper.section "Table 5: update log records vs flash sector writes (8 KB log region)";
+  let row trace paper =
+    let r, _ = simulate_trace trace in
+    Printf.printf "  %-14s %9d logs -> %8d sector writes   (paper: %s)\n" (Trace.name trace)
+      r.Sim.log_records r.Sim.sector_writes paper
+  in
+  row study.Paper.trace_100m "79136 -> 46893";
+  row (Paper.trace_1g_40m study) "784278 -> 594694";
+  row (Paper.trace_1g_20m study) "785535 -> 559391"
+
+let ablation_fill_policy trace =
+  Paper.section
+    "Ablation: in-memory log sector fill policy (byte-accurate vs tau_s record count)";
+  List.iter
+    (fun (tau_s, label) ->
+      let r, t = simulate_trace ?tau_s trace in
+      Printf.printf "  %-26s %10d sector writes %8d merges  t_IPL %8.1f s\n" label
+        r.Sim.sector_writes r.Sim.merges t)
+    [
+      (None, "byte-accurate (engine)");
+      (Some 10, "tau_s = 10 (paper's average)");
+      (Some 5, "tau_s = 5");
+      (Some 20, "tau_s = 20");
+    ]
 
 let log_region_t =
   Arg.(value & opt int 8 & info [ "log-region-kb" ] ~doc:"Log region per 128KB erase unit, KB.")
@@ -110,28 +212,55 @@ let simulate_cmd =
 
 (* ---------------- sweep ---------------- *)
 
+let sweep_csv_header = "log_region_kb,merges,sector_writes,t_ipl_s,db_size_mb\n"
+
+(* One CSV row per log-region size, prefixed by the trace name when
+   several traces share a file. *)
+let sweep_csv ?trace oc points =
+  List.iter
+    (fun (p : Sweep.point) ->
+      Option.iter (Printf.fprintf oc "%s,") trace;
+      Printf.fprintf oc "%d,%d,%d,%.2f,%d\n" (p.Sweep.log_region / 1024)
+        p.Sweep.result.Sim.merges p.Sweep.result.Sim.sector_writes p.Sweep.t_ipl
+        (p.Sweep.db_size / 1024 / 1024))
+    points
+
+let sweep_table ~indent ~merges_width points =
+  Printf.printf "%s%-10s %10s %12s %12s %10s\n" indent "log region" "merges" "sector wr"
+    "t_IPL (s)" "DB size";
+  List.iter
+    (fun (p : Sweep.point) ->
+      Printf.printf "%s%6d KB %*d %12d %12.1f %7d MB\n" indent (p.Sweep.log_region / 1024)
+        merges_width p.Sweep.result.Sim.merges p.Sweep.result.Sim.sector_writes p.Sweep.t_ipl
+        (p.Sweep.db_size / 1024 / 1024))
+    points
+
 let sweep file csv =
-  let trace = Trace_io.load file in
-  let points = Sweep.log_region_sweep trace in
+  let points = Sweep.log_region_sweep (Trace_io.load file) in
   if csv then begin
-    Printf.printf "log_region_kb,merges,sector_writes,t_ipl_s,db_size_mb\n";
-    List.iter
-      (fun (p : Sweep.point) ->
-        Printf.printf "%d,%d,%d,%.2f,%d\n" (p.Sweep.log_region / 1024)
-          p.Sweep.result.Sim.merges p.Sweep.result.Sim.sector_writes p.Sweep.t_ipl
-          (p.Sweep.db_size / 1024 / 1024))
-      points
+    print_string sweep_csv_header;
+    sweep_csv stdout points
   end
-  else begin
-    Printf.printf "%-10s %10s %12s %12s %10s\n" "log region" "merges" "sector wr" "t_IPL (s)"
-      "DB size";
-    List.iter
-      (fun (p : Sweep.point) ->
-        Printf.printf "%6d KB %12d %12d %12.1f %7d MB\n" (p.Sweep.log_region / 1024)
-          p.Sweep.result.Sim.merges p.Sweep.result.Sim.sector_writes p.Sweep.t_ipl
-          (p.Sweep.db_size / 1024 / 1024))
-      points
-  end
+  else sweep_table ~indent:"" ~merges_width:12 points
+
+let figures_5_and_6 ~csv_dir (study : Paper.study) =
+  Paper.section
+    "Figure 5: merges vs log-region size / Figure 6: estimated write time and space";
+  let sweeps =
+    List.map
+      (fun trace -> (Trace.name trace, Sweep.log_region_sweep trace))
+      [ Paper.trace_1g_20m study; Paper.trace_1g_40m study; study.Paper.trace_100m ]
+  in
+  List.iter
+    (fun (name, points) ->
+      Printf.printf "  %s\n" name;
+      sweep_table ~indent:"    " ~merges_width:10 points)
+    sweeps;
+  Paper.with_csv csv_dir "fig5_6.csv" (fun oc ->
+      output_string oc ("trace," ^ sweep_csv_header);
+      List.iter (fun (trace, points) -> sweep_csv ~trace oc points) sweeps);
+  Paper.note "paper: merges drop steeply as the log region grows; t_IPL follows (Fig 6a)";
+  Paper.note "while the database's flash footprint grows towards 2x (Fig 6b)"
 
 let csv_t = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV (plot-ready) output.")
 
@@ -142,39 +271,64 @@ let sweep_cmd =
 
 (* ---------------- replay ---------------- *)
 
-let replay file design =
-  let trace = Trace_io.load file in
-  let db_pages = Trace.db_pages trace in
+(* Replay [trace]'s write stream on one storage design, each baseline on
+   its own non-materializing chip sized to the trace's database (IPL runs
+   Algorithm 2 and its t_IPL model). Returns simulated seconds, erases
+   (merges for IPL) and the log-structured store's GC page moves. *)
+let replay_design trace design =
   let db_page_size = Ipl_core.Ipl_config.default.Ipl_core.Ipl_config.page_size in
-  let blocks = (db_pages / 16 * 115 / 100) + 32 in
+  let blocks = (Trace.db_pages trace / 16 * 115 / 100) + 32 in
   let chip =
     Flash_sim.Flash_chip.create
       (Flash_sim.Flash_config.default ~num_blocks:blocks ~materialize:false ())
   in
-  let time, erases =
-    match design with
-    | "ftl" ->
-        let ftl = Ftl.Block_ftl.create chip ~page_size:db_page_size in
-        Ftl.Block_ftl.format ftl;
-        ( Baseline.Replay.run trace (Ftl.Block_ftl.device ftl),
-          (Flash_sim.Flash_chip.stats chip).Flash_sim.Flash_stats.block_erases )
-    | "lfs" ->
-        let lfs = Baseline.Lfs_store.create chip ~page_size:db_page_size in
-        Baseline.Lfs_store.format lfs;
-        ( Baseline.Replay.run trace (Baseline.Lfs_store.device lfs),
-          (Flash_sim.Flash_chip.stats chip).Flash_sim.Flash_stats.block_erases )
-    | "inplace" ->
-        let ip = Baseline.Inplace_store.create chip ~page_size:db_page_size in
-        Baseline.Inplace_store.format ip;
-        ( Baseline.Replay.run trace (Baseline.Inplace_store.device ip),
-          (Flash_sim.Flash_chip.stats chip).Flash_sim.Flash_stats.block_erases )
-    | "ipl" ->
-        let r = Sim.run trace in
-        (Cost.t_ipl ~sector_writes:r.Sim.sector_writes ~merges:r.Sim.merges (), r.Sim.merges)
-    | other -> failwith (Printf.sprintf "unknown design %S (ftl|lfs|inplace|ipl)" other)
+  let on device =
+    let time = Baseline.Replay.run trace device in
+    (time, (Flash_sim.Flash_chip.stats chip).Flash_sim.Flash_stats.block_erases)
   in
-  Printf.printf "%s on %s: %.1f s, %d erases/merges
-" design (Trace.name trace) time erases
+  match design with
+  | "ftl" ->
+      let ftl = Ftl.Block_ftl.create chip ~page_size:db_page_size in
+      Ftl.Block_ftl.format ftl;
+      let time, erases = on (Ftl.Block_ftl.device ftl) in
+      (time, erases, 0)
+  | "lfs" ->
+      let lfs = Baseline.Lfs_store.create chip ~page_size:db_page_size in
+      Baseline.Lfs_store.format lfs;
+      let time, erases = on (Baseline.Lfs_store.device lfs) in
+      (time, erases, (Baseline.Lfs_store.stats lfs).Baseline.Lfs_store.gc_page_moves)
+  | "inplace" ->
+      let ip = Baseline.Inplace_store.create chip ~page_size:db_page_size in
+      Baseline.Inplace_store.format ip;
+      let time, erases = on (Baseline.Inplace_store.device ip) in
+      (time, erases, 0)
+  | "ipl" ->
+      let r, t_ipl = simulate_trace trace in
+      (t_ipl, r.Sim.merges, 0)
+  | other -> failwith (Printf.sprintf "unknown design %S (ftl|lfs|inplace|ipl)" other)
+
+let replay file design =
+  let trace = Trace_io.load file in
+  let time, erases, _ = replay_design trace design in
+  Printf.printf "%s on %s: %.1f s, %d erases/merges\n" design (Trace.name trace) time erases
+
+let ablation_baseline_replay trace =
+  Paper.section "Ablation: one TPC-C write stream on four flash designs";
+  Printf.printf "  %-34s %10s %10s\n" "design" "time (s)" "erases";
+  List.iter
+    (fun (design, label) ->
+      let time, erases, gc_moves = replay_design trace design in
+      Printf.printf "  %-34s %10.1f %10d" label time erases;
+      if design = "lfs" then Printf.printf "   (+%d GC page moves)" gc_moves;
+      print_newline ())
+    [
+      ("inplace", "in-place update on raw flash");
+      ("ftl", "conventional behind DRAM-FTL SSD");
+      ("lfs", "log-structured page store");
+      ("ipl", "in-page logging (t_IPL)");
+    ];
+  Paper.note "%d physical page writes replayed onto a %d-page database"
+    (Trace.stats trace).Trace.page_writes (Trace.db_pages trace)
 
 let design_t =
   Arg.(
@@ -657,17 +811,102 @@ let chansweep_cmd =
 
 (* ---------------- queries ---------------- *)
 
-let queries () =
-  Printf.printf "%-28s %10s %10s\n" "" "disk (s)" "flash (s)";
+let paper_table3 = function
+  | Q.Q1 -> (14.04, 11.02)
+  | Q.Q2 -> (61.07, 12.05)
+  | Q.Q3 -> (172.01, 13.05)
+  | Q.Q4 -> (34.03, 26.01)
+  | Q.Q5 -> (151.92, 61.76)
+  | Q.Q6 -> (340.72, 369.88)
+
+(* Tables 3 and 2, measured next to the paper's figures. *)
+let queries csv_dir =
+  Paper.section "Table 3: read and write query performance (seconds)";
+  let results = Q.table3 () in
+  let flash_of q =
+    let _, _, f = List.find (fun (q', _, _) -> q' = q) results in
+    f
+  in
+  Printf.printf "  %-28s %10s %10s   %10s %10s\n" "" "disk" "(paper)" "flash" "(paper)";
   List.iter
     (fun (q, (d : Q.measurement), (f : Q.measurement)) ->
-      Printf.printf "%-28s %10.2f %10.2f\n" (Q.name q) d.Q.elapsed f.Q.elapsed)
-    (Q.table3 ())
+      let pd, pf = paper_table3 q in
+      Printf.printf "  %-28s %10.2f %10.2f   %10.2f %10.2f\n" (Q.name q) d.Q.elapsed pd
+        f.Q.elapsed pf)
+    results;
+  Paper.note
+    "flash Q4/Q5/Q6 erase-unit RMW cycles: %d / %d / %d (paper's per-unit analysis: 4000 \
+     for Q4, 64000 for Q6)"
+    (flash_of Q.Q4).Q.erases (flash_of Q.Q5).Q.erases (flash_of Q.Q6).Q.erases;
+  Paper.note
+    "flash Q4/Q5/Q6 DRAM-segment evictions: %d / %d / %d (paper counts Q5 as 8000 'erases')"
+    (flash_of Q.Q4).Q.segment_evictions (flash_of Q.Q5).Q.segment_evictions
+    (flash_of Q.Q6).Q.segment_evictions;
+  Paper.section "Table 2: random-to-sequential performance ratios";
+  let pp kind medium label paper =
+    let lo, hi = Q.random_to_sequential_ratios results kind medium in
+    Printf.printf "  %-24s %6.1f ~ %6.1f   (paper: %s)\n" label lo hi paper
+  in
+  pp `Read `Disk "disk, read workload" "4.3 ~ 12.3";
+  pp `Write `Disk "disk, write workload" "4.5 ~ 10.0";
+  pp `Read `Flash "flash, read workload" "1.1 ~ 1.2";
+  pp `Write `Flash "flash, write workload" "2.4 ~ 14.2";
+  Paper.with_csv csv_dir "table3.csv" (fun oc ->
+      output_string oc "query,disk_s,disk_paper_s,flash_s,flash_paper_s\n";
+      List.iter
+        (fun (q, (d : Q.measurement), (f : Q.measurement)) ->
+          let pd, pf = paper_table3 q in
+          Printf.fprintf oc "%s,%.2f,%.2f,%.2f,%.2f\n" (Q.name q) d.Q.elapsed pd f.Q.elapsed
+            pf)
+        results)
 
 let queries_cmd =
   Cmd.v
-    (Cmd.info "queries" ~doc:"Tables 2/3: run Q1-Q6 on the disk and flash-SSD models.")
-    Term.(const queries $ const ())
+    (Cmd.info "queries"
+       ~doc:"Tables 2/3: run Q1-Q6 on the disk and flash-SSD models, next to the paper's figures.")
+    Term.(const queries $ const None)
+
+(* ---------------- paper ---------------- *)
+
+let paper quick csv_dir =
+  (* Large retained heaps (the 1 GB logical database) behave much better
+     with a roomier GC. *)
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024; space_overhead = 200 };
+  Printf.printf "In-Page Logging reproduction benchmark%s\n" (if quick then " (--quick)" else "");
+  Paper.table1 ();
+  queries csv_dir;
+  let study = Paper.generate_study ~quick in
+  let trace_20m = Paper.trace_1g_20m study in
+  table4 trace_20m;
+  figure4 ~csv_dir trace_20m;
+  table5 study;
+  figures_5_and_6 ~csv_dir study;
+  Paper.figure7 ~csv_dir study;
+  Paper.table6 ();
+  ablation_baseline_replay trace_20m;
+  ablation_fill_policy trace_20m;
+  Paper.ablation_wear ();
+  Paper.ablation_recovery_overhead ();
+  Paper.ablation_read_amplification ();
+  Paper.ablation_group_commit ();
+  Paper.ablation_background_merge ();
+  Paper.ablation_selective_merge_threshold ();
+  Printf.printf "\nDone.\n"
+
+let csv_dir_t =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "csv-dir" ] ~docv:"DIR"
+        ~doc:"Also write plot-ready table3/fig4/fig5_6/fig7 CSV files into $(docv).")
+
+let paper_cmd =
+  Cmd.v
+    (Cmd.info "paper"
+       ~doc:
+         "Regenerate every table and figure of the paper's evaluation (Sections 2.2.1, 4.1 \
+          and 4.2) next to the paper's values, plus the ablation studies.")
+    Term.(const paper $ obs_quick_t $ csv_dir_t)
 
 (* ---------------- lint / sema ---------------- *)
 
@@ -677,7 +916,7 @@ let lint_roots_t =
   Arg.(
     value & pos_all string []
     & info [] ~docv:"DIR"
-        ~doc:"Directories (or files) to lint; defaults to lib, bin and bench.")
+        ~doc:"Directories (or files) to lint; defaults to lib and bin.")
 
 let json_out_t =
   Arg.(
@@ -729,6 +968,7 @@ let main_cmd =
       bench_cmd;
       chansweep_cmd;
       queries_cmd;
+      paper_cmd;
       lint_cmd;
       sema_cmd;
     ]

@@ -474,7 +474,7 @@ let trap f =
   try f () with
   | Resilience.Bbm.Degraded -> Error Device_degraded
   | Resilience.Bbm.Uncorrectable _ | Chip.Read_error _ -> Error Read_failed
-  | Chip.Program_error _ | Chip.Erase_error _ | Chip.Worn_out _ -> Error Device_fault
+  | Chip.Program_error _ | Chip.Erase_error _ -> Error Device_fault
 
 (* Resilience guard around the result-returning mutation entry points:
    once the device is read-only every mutation is refused up front; any
@@ -490,7 +490,7 @@ let guard t f =
     try f () with
     | Resilience.Bbm.Degraded -> Error Device_degraded
     | Resilience.Bbm.Uncorrectable _ | Chip.Read_error _ -> Error Read_failed
-    | Chip.Program_error _ | Chip.Erase_error _ | Chip.Worn_out _ -> Error Device_fault
+    | Chip.Program_error _ | Chip.Erase_error _ -> Error Device_fault
 
 let mutate t ~tx ~page f =
   guard t (fun () ->

@@ -1,7 +1,6 @@
 type sector_state = Free | Valid | Invalid
 
 exception Write_to_unerased of int
-exception Worn_out of int
 exception Out_of_range of int
 exception Power_loss of int
 exception Read_error of int
@@ -177,11 +176,6 @@ let read_sectors t ~sector ~count =
   end;
   out
 
-let bump_wear t b =
-  t.erase_counts.(b) <- t.erase_counts.(b) + 1;
-  if t.config.fail_on_wear_out && t.erase_counts.(b) > t.config.max_erase_cycles then
-    raise (Worn_out b)
-
 let write_sectors t ~sector data =
   let ss = t.config.sector_size in
   let len = Bytes.length data in
@@ -280,7 +274,7 @@ let erase_block t b =
   let spb = Flash_config.sectors_per_block t.config in
   Bytes.fill t.state (b * spb) spb '\000';
   if t.config.materialize then Hashtbl.remove t.data b;
-  bump_wear t b;
+  t.erase_counts.(b) <- t.erase_counts.(b) + 1;
   t.block_erases <- t.block_erases + 1;
   t.elapsed <- t.elapsed +. t.config.t_erase_block;
   match t.tracer with

@@ -14,7 +14,7 @@ let check_file ?(siblings = []) ~dir ~file (refs : Lint_walker.ref_site list) =
                "library directory %s is not registered in the layering table (Lint_config.libraries)"
                dir);
         ]
-      else [] (* bin/ and bench/ may use every library *)
+      else [] (* bin/ may use every library *)
   | Some lib ->
       List.filter_map
         (fun (r : Lint_walker.ref_site) ->

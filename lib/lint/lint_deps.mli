@@ -12,4 +12,4 @@ val check_file :
     not allowed to depend on. [siblings] are the module names of the file's
     own library; they shadow like-named wrappers and are skipped. Files
     under unregistered lib/ directories get a finding demanding
-    registration; bin/ and bench/ files are exempt. *)
+    registration; bin/ files are exempt. *)

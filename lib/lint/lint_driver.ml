@@ -28,7 +28,7 @@ let parse_args args =
   go None [] [] args
 
 let main ?(ppf = Format.std_formatter) ?json_out ?(rules = []) roots =
-  let roots = if roots = [] then [ "lib"; "bin"; "bench" ] else roots in
+  let roots = if roots = [] then [ "lib"; "bin" ] else roots in
   let findings = run roots in
   let findings =
     if rules = [] then findings

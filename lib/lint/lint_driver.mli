@@ -20,7 +20,7 @@ val main :
   ?rules:string list ->
   string list ->
   int
-(** Lint the roots (default: lib bin bench), print the report, optionally
+(** Lint the roots (default: lib bin), print the report, optionally
     filter to the given rule ids and mirror the report to a JSON file
     ([-] for stdout), and return the exit status: 1 when any
     error-severity finding remains, else 0. *)

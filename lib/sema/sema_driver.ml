@@ -64,7 +64,7 @@ let dump_summaries ?build_root ?(source_root = ".") ppf roots =
 
 let main ?(ppf = Format.std_formatter) ?json_out ?(rules = []) ?build_root
     ?source_root roots =
-  let roots = if roots = [] then [ "lib"; "bin"; "bench" ] else roots in
+  let roots = if roots = [] then [ "lib"; "bin" ] else roots in
   let findings = run ?build_root ?source_root roots in
   let findings =
     if rules = [] then findings

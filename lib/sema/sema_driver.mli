@@ -29,6 +29,6 @@ val main :
   ?source_root:string ->
   string list ->
   int
-(** Report on the roots (default: lib bin bench), optionally filtered to
+(** Report on the roots (default: lib bin), optionally filtered to
     the given rule ids and mirrored to a JSON file ([-] for stdout).
     Returns 1 when any error-severity finding remains, else 0. *)

@@ -162,18 +162,17 @@ let update p i data =
       set_slot p i ~off ~len;
       Ok ()
     end
+    (* Relocate: drop the old copy, append the new one. The old copy's
+       bytes count as reclaimable, and the room check comes first so a
+       refused update leaves the page untouched. *)
+    else if dir_start p - header_size - (used_payload p - old_len) < len then
+      Error "page full"
     else begin
-      (* Relocate: drop the old copy, append the new one. *)
       set_slot p i ~off:0 ~len:0;
-      if not (ensure_room p ~extra_slots:0 ~len) then begin
-        set_slot p i ~off ~len:old_len;
-        Error "page full"
-      end
-      else begin
-        let off' = append_payload p data in
-        set_slot p i ~off:off' ~len;
-        Ok ()
-      end
+      if not (contiguous_room p ~extra_slots:0 ~len) then compact p;
+      let off' = append_payload p data in
+      set_slot p i ~off:off' ~len;
+      Ok ()
     end
   end
 

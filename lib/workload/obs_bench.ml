@@ -77,7 +77,7 @@ type t = {
   json : Json.t;
 }
 
-let schema_version = "ipl-bench/1"
+let schema_version = "ipl-bench/2"
 
 (* Ring sized so a default-spec run keeps every event, including the
    per-sector chip events and the cache hit/miss stream of the read
@@ -116,9 +116,8 @@ let ok = function
    leaking a device exception to the caller. *)
 let fatal f =
   try f () with
-  | ( Chip.Read_error _ | Chip.Program_error _ | Chip.Erase_error _
-    | Chip.Worn_out _ | Resilience.Bbm.Degraded | Resilience.Bbm.Uncorrectable _
-      ) as e ->
+  | ( Chip.Read_error _ | Chip.Program_error _ | Chip.Erase_error _ | Resilience.Bbm.Degraded
+    | Resilience.Bbm.Uncorrectable _ ) as e ->
       failwith ("Obs_bench: device fault: " ^ Printexc.to_string e)
 
 (* The same OLTP-ish mix as the fault campaign (55% update / 30% insert /
@@ -625,34 +624,16 @@ let run ?(spec = default) ?(jobs = 1) () =
   in
   let replay_s = Ipl_util.Clock.now_s () -. replay0 in
   (* Wall-clock phase timings (host ns — the only machine-dependent
-     numbers in the document) next to the cache counters that explain
-     them. Everything else in the document is simulated time. *)
+     numbers in the document). Everything else in the document is
+     simulated time; the counters that explain these timings (log cache,
+     commit batches, conflicts) live once, in the IPL backend's storage
+     stats and the concurrency section. *)
   let wall_clock =
     let ns s = Json.Int (int_of_float (s *. 1e9)) in
-    let st = (Engine.stats engine).Engine.storage in
     Json.Obj
       (List.map (fun (k, s) -> (k, ns s)) phases
       @ [
           ("replay", ns replay_s);
-          ( "cache",
-            Json.Obj
-              [
-                ("hits", Json.Int st.Ipl_core.Ipl_storage.log_cache_hits);
-                ("misses", Json.Int st.Ipl_core.Ipl_storage.log_cache_misses);
-                ("evictions", Json.Int st.Ipl_core.Ipl_storage.log_cache_evictions);
-              ] );
-          (* Commit-batch and conflict counters: what the host time above
-             was (or was not) spent waiting on — each batch is one
-             durability barrier, so fewer batches than commits is the
-             group-commit win. *)
-          ("commit_batches", Json.Int conc.commit_batches);
-          ( "mean_commit_batch",
-            Json.Float
-              (if conc.commit_batches > 0 then
-                 float_of_int conc.batched_commits /. float_of_int conc.commit_batches
-               else 0.0) );
-          ("max_commit_batch", Json.Int conc.max_commit_batch);
-          ("conflict_aborts", Json.Int conc.conflict_aborts);
           (* Host-side parallelism of this run — machine-dependent by
              definition, so it lives here and nowhere else: every other
              section must be byte-identical across job counts. *)

@@ -9,8 +9,9 @@
     identical chip geometry. Latency histograms use the chip's simulated
     clock, so they are machine-independent and reproducible from the
     seed; the [wall_clock] section additionally reports real host time
-    per phase (monotonic {!Ipl_util.Clock} nanoseconds) together with
-    the log-record cache hit/miss/eviction counters that explain it.
+    per phase (monotonic {!Ipl_util.Clock} nanoseconds). Each counter is
+    stored once: the log-record cache counters in the IPL backend's
+    storage stats, commit batches and conflicts in [concurrency].
 
     The workload's logical outcome — every point-read result plus the
     commit/abort tally — is folded into a CRC-32 [logical_digest]: runs
@@ -92,7 +93,7 @@ type t = {
 }
 
 val schema_version : string
-(** ["ipl-bench/1"] — the [schema] field of the JSON document. *)
+(** ["ipl-bench/2"] — the [schema] field of the JSON document. *)
 
 val run : ?spec:spec -> ?jobs:int -> unit -> t
 (** Run the workload and both conventional replays; never raises on a
@@ -100,9 +101,9 @@ val run : ?spec:spec -> ?jobs:int -> unit -> t
     [{schema; workload; trace; wall_clock; concurrency;
     backends = [ipl; lfs; inplace]}] where each backend carries [ops]
     latency histograms plus its layer stats (IPL: storage/pool/flash with
-    merge, overflow and wear counters), [wall_clock] holds host-time
-    phase timings plus the log-record cache and commit-batch /
-    conflict-abort counters, and [concurrency] mirrors {!concurrency}.
+    merge, overflow, wear and log-cache counters), [wall_clock] holds
+    host-time phase timings and the job count, and [concurrency] mirrors
+    {!concurrency}.
 
     [jobs] (default 1: fully serial, no domains) runs the two baseline
     replays on a {!Par.Domain_pool} while the IPL run holds the main

@@ -9,7 +9,9 @@ eus_repaired_lazily), the concurrency section must be mode-tagged
 ("serial" carries only the fields that are meaningful without sessions;
 "sessions" carries the batch accounting plus commit_latency percentiles
 and a per_session breakdown), wall_clock must record the jobs the run
-used, and — when the document was produced with --restart — the restart
+used and hold host times only (ipl-bench/2 stores each counter once: the
+log-cache counters live in the IPL backend's storage stats, the commit
+batch and conflict counters in concurrency), and — when the document was produced with --restart — the restart
 section must carry per-spec points and the time_to_first_txn headline
 with both eager_s and lazy_s.
 
@@ -38,6 +40,18 @@ def need(obj, key, ty, where):
 
 
 NUMBER = (int, float)
+
+SCHEMA = "ipl-bench/2"
+
+# Counters ipl-bench/1 copied into wall_clock; /2 keeps only their one
+# home (backends[ipl].storage.log_cache_*, concurrency).
+WALL_CLOCK_DROPPED = [
+    "cache",
+    "commit_batches",
+    "mean_commit_batch",
+    "max_commit_batch",
+    "conflict_aborts",
+]
 
 STORAGE_COUNTERS = [
     "pages_allocated",
@@ -137,7 +151,9 @@ def main():
     with open(sys.argv[1]) as f:
         doc = json.load(f)
 
-    need(doc, "schema", str, "$")
+    schema = need(doc, "schema", str, "$")
+    if schema != SCHEMA:
+        fail(f"schema: expected {SCHEMA!r}, got {schema!r}")
     need(doc, "workload", dict, "$")
     need(doc, "logical_digest", str, "$")
     need(doc, "device", dict, "$")
@@ -145,6 +161,9 @@ def main():
     jobs = need(wall_clock, "jobs", int, "wall_clock")
     if jobs < 1:
         fail(f"wall_clock.jobs: {jobs} < 1")
+    for key in WALL_CLOCK_DROPPED:
+        if key in wall_clock:
+            fail(f"wall_clock.{key}: duplicate counter (stored elsewhere since {SCHEMA})")
     check_concurrency(need(doc, "concurrency", dict, "$"))
     backends = need(doc, "backends", list, "$")
 

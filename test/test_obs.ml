@@ -218,8 +218,14 @@ let test_bench_json_schema () =
   let r = Bench.run ~spec:{ Bench.quick with Bench.transactions = 25 } () in
   let j = roundtrip r.Bench.json in
   Alcotest.(check (option string))
-    "schema tag" (Some Bench.schema_version)
+    "schema tag" (Some "ipl-bench/2")
     (Option.bind (Json.member "schema" j) (function Json.String s -> Some s | _ -> None));
+  (* Each counter is stored once: wall_clock carries host times only. *)
+  List.iter
+    (fun key ->
+      if Option.bind (Json.member "wall_clock" j) (Json.member key) <> None then
+        Alcotest.failf "wall_clock.%s duplicates a counter stored elsewhere" key)
+    [ "cache"; "commit_batches"; "mean_commit_batch"; "max_commit_batch"; "conflict_aborts" ];
   let backends =
     match Json.member "backends" j with
     | Some (Json.List l) -> l

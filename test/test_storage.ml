@@ -48,7 +48,19 @@ let test_update_in_place_and_relocating () =
     (Page.update p 0 (bytes_of_string "0123456789"));
   Alcotest.(check (option bytes)) "grown" (Some (bytes_of_string "0123456789")) (Page.read p 0);
   Alcotest.(check (result unit string)) "update dead slot" (Error "slot not live")
-    (Page.update p 3 (bytes_of_string "z"))
+    (Page.update p 3 (bytes_of_string "z"));
+  (* A growing update that does not fit even after compaction is refused
+     and leaves the page as it was. *)
+  let p = Page.create 256 in
+  List.iter (fun c -> ignore (Page.insert p (Bytes.make 50 c))) [ 'a'; 'b'; 'c' ];
+  ignore (Page.delete p 1);
+  let before = Page.copy p in
+  Alcotest.(check (result unit string)) "refused grow" (Error "page full")
+    (Page.update p 0 (Bytes.make 200 'A'));
+  Alcotest.(check (option bytes)) "refused record intact" (Some (Bytes.make 50 'a'))
+    (Page.read p 0);
+  Alcotest.(check (option bytes)) "neighbour intact" (Some (Bytes.make 50 'c')) (Page.read p 2);
+  Alcotest.(check bool) "page unchanged" true (Bytes.equal (Page.to_bytes before) (Page.to_bytes p))
 
 let test_update_bytes () =
   let p = mk () in
@@ -140,7 +152,9 @@ let prop_page_vs_model =
   QCheck.Test.make ~name:"page matches model under random ops" ~count:200
     (QCheck.make QCheck.Gen.(list_size (int_range 0 60) gen_op))
     (fun ops ->
-      let p = Page.create 4096 in
+      (* Small enough that 60 ops of up to 40 bytes fill it and updates
+         get refused. *)
+      let p = Page.create 256 in
       let model : (int, string) Hashtbl.t = Hashtbl.create 16 in
       List.iter
         (fun op ->
@@ -154,6 +168,8 @@ let prop_page_vs_model =
               | Ok () ->
                   assert (Hashtbl.mem model slot);
                   Hashtbl.replace model slot s
+              (* A refused live slot keeps its model value, checked below. *)
+              | Error "page full" -> assert (Hashtbl.mem model slot)
               | Error _ -> assert (not (Hashtbl.mem model slot)))
           | `Delete slot -> (
               match Page.delete p slot with
