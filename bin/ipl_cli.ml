@@ -359,13 +359,20 @@ let jobs_t =
            domains. Clamped to the machine's recommended domain count. The results \
            are byte-identical for every value; only wall-clock time changes.")
 
-let crash_campaign ops sample stride lazy_mode seed transactions pages no_tear broken jobs =
+let crash_campaign ops sample lazy_mode seed transactions pages no_tear broken sessions jobs =
+  if broken && sessions > 0 then begin
+    prerr_endline
+      "faultcheck: --broken needs the serial driver; the session scheduler owns the \
+       flush policy (drop --sessions)";
+    exit 2
+  end;
   let transactions = Option.value ~default:200 transactions in
   let spec = { Fault.Workload.default with Fault.Workload.seed; transactions; pages } in
   let report =
-    Fault.Campaign.run ~tear:(not no_tear) ~broken ~max_ops:ops ~sample ~stride ~lazy_mode
+    Fault.Campaign.run ~tear:(not no_tear) ~broken ~max_ops:ops ~sample ~lazy_mode ~sessions
       ~jobs spec
   in
+  if sessions > 0 then Printf.printf "session campaign: %d sessions\n" sessions;
   if lazy_mode then
     Printf.printf "lazy-recovery mode: every crash point checked lazy == eager\n";
   Format.printf "%a@." Fault.Campaign.pp_report report;
@@ -397,8 +404,7 @@ let resilience_campaign profile spares seed transactions =
     match Fault.Campaign.profile_of_string profile with
     | None ->
         Printf.eprintf
-          "unknown profile %S (expected flaky, program, erase, wearout, remap-crash or \
-           concurrent)\n"
+          "unknown profile %S (expected flaky, program, erase, wearout or remap-crash)\n"
           profile;
         exit 2
     | Some p ->
@@ -407,28 +413,12 @@ let resilience_campaign profile spares seed transactions =
         Format.printf "%a@." Fault.Campaign.pp_resilience_report r;
         if not (Fault.Campaign.resilience_ok r) then exit 1
 
-let concurrent_campaign ops sample stride lazy_mode seed transactions pages no_tear sessions
-    jobs =
-  let transactions = Option.value ~default:60 transactions in
-  let spec = { Fault.Workload.default with Fault.Workload.seed; transactions; pages } in
-  let report =
-    Fault.Campaign.run_concurrent ~tear:(not no_tear) ~max_ops:ops ~sample ~stride
-      ~lazy_mode ~sessions ~jobs spec
-  in
-  Printf.printf "concurrent campaign: %d sessions%s\n" sessions
-    (if lazy_mode then " (lazy == eager checked)" else "");
-  Format.printf "%a@." Fault.Campaign.pp_report report;
-  if report.Fault.Campaign.violations <> [] then exit 1
-
-let faultcheck ops sample stride lazy_mode seed transactions pages no_tear broken profile
-    spares sessions jobs =
+let faultcheck ops sample lazy_mode seed transactions pages no_tear broken profile spares
+    sessions jobs =
   let jobs = resolve_jobs jobs in
   match profile with
   | None ->
-      crash_campaign ops sample stride lazy_mode seed transactions pages no_tear broken jobs
-  | Some "concurrent" ->
-      concurrent_campaign ops sample stride lazy_mode seed transactions pages no_tear
-        sessions jobs
+      crash_campaign ops sample lazy_mode seed transactions pages no_tear broken sessions jobs
   | Some profile -> resilience_campaign profile spares seed transactions
 
 let ops_t =
@@ -443,13 +433,6 @@ let sample_t =
     value
     & opt int 0
     & info [ "sample" ] ~doc:"Test only $(docv) crash points, spread evenly (0 = every point).")
-
-let stride_t =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "stride" ]
-        ~doc:"Keep only every $(docv)-th crash point after sampling (cheap CI thinning).")
 
 let lazy_t =
   Arg.(
@@ -488,15 +471,17 @@ let profile_t =
         ~doc:
           "Run a device-resilience campaign instead of the crash-point one: $(b,flaky) \
            (correctable/transient reads), $(b,program), $(b,erase) (random failures), \
-           $(b,wearout) (to spare-pool exhaustion), $(b,remap-crash) (power loss \
-           mid-remap) or $(b,concurrent) (crash points over MVCC sessions with group \
-           commit, checked against the commit-order-prefix oracle).")
+           $(b,wearout) (to spare-pool exhaustion) or $(b,remap-crash) (power loss \
+           mid-remap).")
 
 let fc_sessions_t =
   Arg.(
-    value & opt int 8
+    value & opt int 0
     & info [ "sessions" ]
-        ~doc:"Concurrent MVCC sessions for $(b,--profile concurrent).")
+        ~doc:
+          "Crash-point campaign driver: 0 (default) runs the serial engine loop; N > 0 \
+           runs the same transactions through N MVCC client sessions with group commit \
+           (the session scheduler), checked against the commit-order-prefix oracle.")
 
 let spares_t =
   Arg.(
@@ -511,7 +496,7 @@ let faultcheck_cmd =
           model oracle, or ($(b,--profile)) inject device failures against the bad-block \
           manager and verify zero data loss up to read-only degradation.")
     Term.(
-      const faultcheck $ ops_t $ sample_t $ stride_t $ lazy_t $ seed_t $ fc_transactions_t
+      const faultcheck $ ops_t $ sample_t $ lazy_t $ seed_t $ fc_transactions_t
       $ fc_pages_t $ no_tear_t $ broken_t $ profile_t $ spares_t $ fc_sessions_t $ jobs_t)
 
 (* ---------------- observe ---------------- *)

@@ -42,16 +42,21 @@ let fresh ~config spec =
   let pages = Workload.setup engine oracle spec in
   (chip, engine, oracle, pages)
 
+(* The one oracle check: read every page/slot the run can have touched
+   back through [engine] (normally the restarted one). *)
+let check_engine oracle engine spec ~pages =
+  Oracle.check oracle
+    ~read:(fun ~page ~slot ->
+      match Engine.read engine ~page ~slot with
+      | Ok v -> v
+      | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e))
+    ~pages:(Array.to_list pages) ~slots:(Workload.max_slots spec)
+
 (* [n] indices spread evenly across [lo, hi). *)
 let spread ~lo ~hi n =
   let total = hi - lo in
   if n <= 0 || n >= total then List.init total (fun i -> lo + i)
   else List.init n (fun i -> lo + (i * total / n))
-
-(* Keep every [stride]-th point: a cheap thinning knob on top of
-   [sample] for CI runs that sweep long workloads. *)
-let thin ~stride points =
-  if stride <= 1 then points else List.filteri (fun i _ -> i mod stride = 0) points
 
 (* Logical digest of an engine's committed state: every page/slot value
    in a fixed order, hashed. Two engines with identical logical content
@@ -129,35 +134,44 @@ let merge_verdicts ~total_ops ~setup_ops ~gstats verdicts =
     mean_wear = gstats.FStats.mean_wear;
   }
 
-let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
-    ?(lazy_mode = false) ?(jobs = 1) spec =
+let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(lazy_mode = false)
+    ?(sessions = 0) ?(jobs = 1) spec =
+  if broken && sessions > 0 then
+    invalid_arg "Campaign.run: broken mode needs the serial driver (sessions = 0)";
   let run_config =
     if lazy_mode then recovery_config ~broken ~lazy_recovery:false
     else engine_config ~broken
   in
+  (* Serial and session runs differ only in the driver consuming the
+     plans: the serial loop, or [Session.run] with its observer. *)
+  let drive engine oracle pages =
+    if sessions = 0 then
+      ignore (Workload.run engine oracle spec ~pages : Workload.resilient_outcome)
+    else
+      ignore
+        (Workload.run_sessions engine oracle spec ~sessions ~pages : Ipl_txn.Session.outcome)
+  in
   (* Golden run: same spec, no faults — just count the flash operations. *)
   let chip, engine, oracle, pages = fresh ~config:run_config spec in
   let setup_ops = Chip.op_count chip in
-  Workload.run engine oracle spec ~pages;
+  drive engine oracle pages;
   let total_ops = Chip.op_count chip in
   let gstats = Chip.stats chip in
   let hi = if max_ops > 0 then min total_ops (setup_ops + max_ops) else total_ops in
-  let points = thin ~stride (spread ~lo:setup_ops ~hi sample) in
+  let points = spread ~lo:setup_ops ~hi sample in
   let check_point point =
     (* The crashed state is a deterministic function of (spec, point):
        [crashed] can rebuild a bit-identical chip for the eager twin. *)
     let crashed () =
       let chip, engine, oracle, pages = fresh ~config:run_config spec in
       Fault_plan.install chip (Fault_plan.crash_at ~tear point);
-      (try Workload.run engine oracle spec ~pages with Chip.Power_loss _ -> ());
+      (try drive engine oracle pages with Chip.Power_loss _ -> ());
       Fault_plan.clear chip;
       (chip, oracle, pages)
     in
     let chip, oracle, pages = crashed () in
     let doubt =
-      match Oracle.crash oracle with
-      | Oracle.In_doubt -> true
-      | Oracle.Rolled_back -> false
+      match Oracle.crash oracle with Oracle.In_doubt -> true | Oracle.Settled -> false
     in
     let restart_config =
       if lazy_mode then recovery_config ~broken ~lazy_recovery:true else run_config
@@ -166,94 +180,7 @@ let run ?(tear = true) ?(broken = false) ?(max_ops = 0) ?(sample = 0) ?(stride =
     | exception e ->
         { point; ok = false; doubt; vs = [ "restart raised: " ^ Printexc.to_string e ] }
     | engine', _aborted ->
-        let vs =
-          Oracle.check oracle
-            ~read:(fun ~page ~slot ->
-              match Engine.read engine' ~page ~slot with
-              | Ok v -> v
-              | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e))
-            ~pages:(Array.to_list pages) ~slots:(Workload.max_slots spec)
-        in
-        let vs =
-          if not lazy_mode then vs
-          else
-            vs
-            @ lazy_vs_eager ~eager_config:run_config ~crashed engine' ~pages
-                ~slots:(Workload.max_slots spec)
-        in
-        { point; ok = true; doubt; vs }
-  in
-  let verdicts =
-    Par.Domain_pool.with_pool ~jobs (fun pool ->
-        Par.Domain_pool.parallel_map pool check_point (Array.of_list points))
-  in
-  merge_verdicts ~total_ops ~setup_ops ~gstats verdicts
-
-(* ------------------------------------------------------------------ *)
-(* Concurrent crash campaign: MVCC sessions + group commit              *)
-
-let fresh_concurrent ~config spec =
-  let chip = Chip.create (chip_config ()) in
-  let engine = Engine.create ~config chip in
-  let oracle = Concurrent_oracle.create () in
-  let pages = Workload.setup_concurrent engine oracle spec in
-  (chip, engine, oracle, pages)
-
-(* The crash-point sweep of [run], over concurrent histories: the same
-   mix interleaved across [sessions] MVCC transactions with group
-   commit. The oracle's prefix check replaces the single-transaction
-   model — after every crash the recovered state must equal the setup
-   state plus a commit-order prefix reaching at least the durable
-   watermark, with conflict-losers and rolled-back transactions absent. *)
-let run_concurrent ?(tear = true) ?(max_ops = 0) ?(sample = 0) ?(stride = 1)
-    ?(lazy_mode = false) ?(sessions = 8) ?(jobs = 1) spec =
-  let run_config =
-    if lazy_mode then recovery_config ~broken:false ~lazy_recovery:false
-    else engine_config ~broken:false
-  in
-  let chip, engine, oracle, pages = fresh_concurrent ~config:run_config spec in
-  let setup_ops = Chip.op_count chip in
-  ignore
-    (Workload.run_concurrent engine oracle spec ~sessions ~pages
-      : Workload.concurrent_outcome);
-  let total_ops = Chip.op_count chip in
-  let gstats = Chip.stats chip in
-  let hi = if max_ops > 0 then min total_ops (setup_ops + max_ops) else total_ops in
-  let points = thin ~stride (spread ~lo:setup_ops ~hi sample) in
-  let check_point point =
-    let crashed () =
-      let chip, engine, oracle, pages = fresh_concurrent ~config:run_config spec in
-      Fault_plan.install chip (Fault_plan.crash_at ~tear point);
-      (try
-         ignore
-           (Workload.run_concurrent engine oracle spec ~sessions ~pages
-             : Workload.concurrent_outcome)
-       with Chip.Power_loss _ -> ());
-      Fault_plan.clear chip;
-      (chip, oracle, pages)
-    in
-    let chip, oracle, pages = crashed () in
-    let doubt =
-      match Concurrent_oracle.crash oracle with
-      | Concurrent_oracle.In_doubt -> true
-      | Concurrent_oracle.Settled -> false
-    in
-    let restart_config =
-      if lazy_mode then recovery_config ~broken:false ~lazy_recovery:true
-      else run_config
-    in
-    match Engine.restart ~config:restart_config chip with
-    | exception e ->
-        { point; ok = false; doubt; vs = [ "restart raised: " ^ Printexc.to_string e ] }
-    | engine', _aborted ->
-        let vs =
-          Concurrent_oracle.check oracle
-            ~read:(fun ~page ~slot ->
-              match Engine.read engine' ~page ~slot with
-              | Ok v -> v
-              | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e))
-            ~pages:(Array.to_list pages) ~slots:(Workload.max_slots spec)
-        in
+        let vs = check_engine oracle engine' spec ~pages in
         let vs =
           if not lazy_mode then vs
           else
@@ -342,21 +269,10 @@ let run_resilience ?(spares = 4) ?(transactions = 0) ?(seed = 7) profile =
     }
   in
   let config = resilience_config ~spares in
-  let chip = Chip.create (chip_config ()) in
-  let engine = Engine.create ~config chip in
-  let oracle = Oracle.create () in
-  let pages = Workload.setup engine oracle spec in
+  let chip, engine, oracle, pages = fresh ~config spec in
   Fault_plan.install chip (plan_of_profile ~seed profile);
-  let outcome = Workload.run_resilient engine oracle spec ~pages in
-  let read ~page ~slot =
-    match Engine.read engine ~page ~slot with
-    | Ok v -> v
-    | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e)
-  in
-  let violations =
-    Oracle.check oracle ~read ~pages:(Array.to_list pages)
-      ~slots:(Workload.max_slots spec)
-  in
+  let outcome = Workload.run engine oracle spec ~pages in
+  let violations = check_engine oracle engine spec ~pages in
   let writes_refused_after_degrade =
     match outcome.Workload.degraded_at with
     | None -> true
@@ -371,15 +287,8 @@ let run_resilience ?(spares = 4) ?(transactions = 0) ?(seed = 7) profile =
     match Engine.restart ~config chip with
     | exception e -> ([ "restart raised: " ^ Printexc.to_string e ], false)
     | engine', _ ->
-        let vs =
-          Oracle.check oracle
-            ~read:(fun ~page ~slot ->
-                match Engine.read engine' ~page ~slot with
-                | Ok v -> v
-                | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e))
-            ~pages:(Array.to_list pages) ~slots:(Workload.max_slots spec)
-        in
-        (vs, Engine.degraded engine' = (outcome.Workload.degraded_at <> None))
+        ( check_engine oracle engine' spec ~pages,
+          Engine.degraded engine' = (outcome.Workload.degraded_at <> None) )
   in
   {
     profile;
@@ -403,31 +312,21 @@ let run_remap_crash ?(spares = 4) ?(seed = 7) ?(deltas = [ 1; 2; 3; 5; 8; 13; 21
   let violations = ref [] in
   List.iter
     (fun delta ->
-      let chip = Chip.create (chip_config ()) in
-      let engine = Engine.create ~config chip in
-      let oracle = Oracle.create () in
-      let pages = Workload.setup engine oracle spec in
+      let chip, engine, oracle, pages = fresh ~config spec in
       let point = Chip.op_count chip in
       let min_sector = data_first_block * FConfig.sectors_per_block (chip_config ()) in
       Fault_plan.install chip
         (Fault_plan.program_fail_then_crash ~point ~crash_after:delta ~min_sector ());
-      (try ignore (Workload.run_resilient engine oracle spec ~pages)
+      (try ignore (Workload.run engine oracle spec ~pages : Workload.resilient_outcome)
        with Chip.Power_loss _ -> ());
-      (match Oracle.crash oracle with Oracle.In_doubt | Oracle.Rolled_back -> ());
+      ignore (Oracle.crash oracle : Oracle.outcome);
       Fault_plan.clear chip;
       match Engine.restart ~config chip with
       | exception e ->
           violations :=
             (delta, [ "restart raised: " ^ Printexc.to_string e ]) :: !violations
       | engine', _ ->
-          let vs =
-            Oracle.check oracle
-              ~read:(fun ~page ~slot ->
-                match Engine.read engine' ~page ~slot with
-                | Ok v -> v
-                | Error e -> failwith ("Campaign: read: " ^ Engine.error_to_string e))
-              ~pages:(Array.to_list pages) ~slots:(Workload.max_slots spec)
-          in
+          let vs = check_engine oracle engine' spec ~pages in
           if vs <> [] then violations := (delta, vs) :: !violations)
     deltas;
   List.rev !violations

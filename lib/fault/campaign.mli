@@ -6,15 +6,16 @@
     to that operation index (tearing multi-sector programs when [tear]),
     the power loss caught, the chip revived, the database reopened with
     [Ipl_engine.restart], and the recovered state compared against the
-    {!Oracle} — committed transactions durable, uncommitted ones rolled
-    back, in-doubt commits atomic, every page readable. *)
+    {!Oracle} — the setup state plus a commit-order prefix reaching at
+    least the durable watermark, rolled-back transactions absent, every
+    page readable. *)
 
 type report = {
   total_ops : int;  (** flash operations in the golden run *)
   setup_ops : int;  (** of which setup (not eligible as crash points) *)
   crash_points : int;  (** crash points actually tested *)
   recovered : int;  (** restarts that completed *)
-  in_doubt : int;  (** crash points that hit mid-commit *)
+  in_doubt : int;  (** crash points that hit inside a commit call *)
   violations : (int * string list) list;  (** crash point -> violations *)
   max_wear : int;
   mean_wear : float;  (** per-block erase wear of the golden run *)
@@ -25,20 +26,27 @@ val run :
   ?broken:bool ->
   ?max_ops:int ->
   ?sample:int ->
-  ?stride:int ->
   ?lazy_mode:bool ->
+  ?sessions:int ->
   ?jobs:int ->
   Workload.spec ->
   report
-(** [tear] (default [true]) tears multi-sector programs at the crash
+(** [sessions] (default 0) picks the driver: 0 runs the serial engine
+    loop ({!Workload.run}, every commit its own barrier); [n > 0] runs
+    the same plans through [n] {!Ipl_txn.Session} clients with a
+    group-commit window of [n] ({!Workload.run_sessions}), so the
+    durable watermark follows the group barriers.
+
+    [tear] (default [true]) tears multi-sector programs at the crash
     point instead of failing cleanly before them. [broken] (default
-    [false]) runs the engine with commit-time log forcing effectively
-    disabled (an enormous group-commit window) — a deliberately unsound
-    recovery configuration that the checker must flag, used to validate
-    the checker itself. [max_ops] (0 = no cap) bounds how far past setup
+    [false]) runs the serial engine with commit-time log forcing
+    effectively disabled (an enormous group-commit window) — a
+    deliberately unsound recovery configuration that the checker must
+    flag, used to validate the checker itself. The session driver owns
+    its flush policy, so [broken] with [sessions > 0] raises
+    [Invalid_argument]. [max_ops] (0 = no cap) bounds how far past setup
     crash points may fall; [sample] (0 = all) tests only that many
-    points, spread evenly; [stride] (default 1) then keeps every
-    [stride]-th of them.
+    points, spread evenly.
 
     [lazy_mode] (default [false]) turns every crash point into a
     lazy-vs-eager equivalence check: the engine runs with fuzzy
@@ -59,28 +67,6 @@ val run :
     the serial path itself with no domains spawned. *)
 
 val pp_report : Format.formatter -> report -> unit
-
-val run_concurrent :
-  ?tear:bool ->
-  ?max_ops:int ->
-  ?sample:int ->
-  ?stride:int ->
-  ?lazy_mode:bool ->
-  ?sessions:int ->
-  ?jobs:int ->
-  Workload.spec ->
-  report
-(** The crash-point sweep of {!run} over {e concurrent} histories: the
-    workload mix runs through [sessions] (default 8) interleaved
-    {!Ipl_txn.Mvcc} transactions with a group-commit window of
-    [sessions], checked by {!Concurrent_oracle} — the recovered state
-    must equal some commit-order prefix at or past the durable watermark,
-    with conflict-losers and rolled-back transactions absent. [in_doubt]
-    counts crash points that hit inside a commit call. [stride],
-    [lazy_mode] and [jobs] behave as in {!run} — in particular
-    [lazy_mode] checks lazy-vs-eager digest equality over the concurrent
-    histories too, and [jobs] parallelises the crash points without
-    changing the report. *)
 
 (** {1 Resilience campaign}
 

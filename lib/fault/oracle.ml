@@ -1,108 +1,134 @@
 type key = int * int (* page, slot *)
 
 type t = {
-  committed : (key, bytes) Hashtbl.t;
-  mutable pending : (key * bytes option) list; (* newest first; None = deleted *)
-  mutable in_txn : bool;
-  mutable committing : bool;
+  base : (key, bytes) Hashtbl.t;  (* durable setup state *)
+  active : (int, (key * bytes option) list ref) Hashtbl.t;  (* txn -> writes, newest first *)
+  mutable commits : (int * (key * bytes option) list) list;  (* newest first; writes in apply order *)
+  mutable committing : int option;
+  mutable durable : int;  (* commits settled by a completed barrier *)
 }
 
-type outcome = Rolled_back | In_doubt
+type outcome = Settled | In_doubt
 
 let create () =
-  { committed = Hashtbl.create 256; pending = []; in_txn = false; committing = false }
+  {
+    base = Hashtbl.create 256;
+    active = Hashtbl.create 64;
+    commits = [];
+    committing = None;
+    durable = 0;
+  }
 
-let seed t ~page ~slot data = Hashtbl.replace t.committed (page, slot) data
+let seed t ~page ~slot data = Hashtbl.replace t.base (page, slot) data
+let begin_txn t ~txn = Hashtbl.replace t.active txn (ref [])
 
-let begin_txn t =
-  t.pending <- [];
-  t.in_txn <- true;
-  t.committing <- false
+let note t ~txn ~page ~slot value =
+  match Hashtbl.find_opt t.active txn with
+  | Some ws -> ws := ((page, slot), value) :: !ws
+  | None -> invalid_arg "Oracle.note: unknown transaction"
 
-let note t ~page ~slot value =
-  if t.in_txn then t.pending <- ((page, slot), value) :: t.pending
-  else
-    match value with
-    | Some b -> Hashtbl.replace t.committed (page, slot) b
-    | None -> Hashtbl.remove t.committed (page, slot)
+let start_commit t ~txn = t.committing <- Some txn
 
-let current t ~page ~slot =
-  match List.assoc_opt (page, slot) t.pending with
-  | Some v -> v
-  | None -> Hashtbl.find_opt t.committed (page, slot)
+let promote t txn =
+  match Hashtbl.find_opt t.active txn with
+  | None -> invalid_arg "Oracle: commit of unknown transaction"
+  | Some ws ->
+      Hashtbl.remove t.active txn;
+      t.commits <- (txn, List.rev !ws) :: t.commits
 
-let apply_pending committed pending =
-  List.iter
-    (fun (k, v) ->
-      match v with
-      | Some b -> Hashtbl.replace committed k b
-      | None -> Hashtbl.remove committed k)
-    (List.rev pending)
+let end_commit t ~txn =
+  t.committing <- None;
+  promote t txn
 
-let start_commit t = t.committing <- true
+let abort t ~txn =
+  if t.committing = Some txn then t.committing <- None;
+  Hashtbl.remove t.active txn
 
-let end_commit t =
-  apply_pending t.committed t.pending;
-  t.pending <- [];
-  t.in_txn <- false;
-  t.committing <- false
+let durable t n = if n > t.durable then t.durable <- n
 
-let abort t =
-  t.pending <- [];
-  t.in_txn <- false;
-  t.committing <- false
-
+(* A crash mid-commit: the transaction's record was appended to the
+   sequential log after every earlier commit's, so it is exactly the
+   optional last entry of the commit order — the prefix sweep in [check]
+   may stop before it or include it. Every other live transaction rolls
+   back unconditionally. *)
 let crash t =
-  t.in_txn <- false;
-  if t.committing && t.pending <> [] then In_doubt
-  else begin
-    t.pending <- [];
-    t.committing <- false;
-    Rolled_back
-  end
+  let outcome =
+    match t.committing with
+    | Some txn when Hashtbl.mem t.active txn ->
+        promote t txn;
+        In_doubt
+    | _ -> Settled
+  in
+  t.committing <- None;
+  Hashtbl.reset t.active;
+  outcome
 
-(* Compare the reopened database against the model. A transaction caught
-   mid-commit is in doubt: recovery may legitimately land on either side of
-   the commit, but must land on exactly one side for every record — so the
-   database must match the pre-commit state in full OR the post-commit
-   state in full. Anything else (a lost committed update, a surviving
-   uncommitted one, a half-applied commit) is a violation. *)
+let show = function
+  | None -> "<absent>"
+  | Some b -> Printf.sprintf "%d bytes (%08x)" (Bytes.length b) (Hashtbl.hash b)
+
+(* The recovered database must equal base + commits[0..k] for some k in
+   [durable, n]: at least everything a completed barrier settled, at most
+   everything that ever committed, and nothing in between may be skipped
+   (the transaction log is sequential, so durability is prefix-closed).
+   The sweep applies one commit at a time and compares after each step. *)
 let check t ~read ~pages ~slots =
-  let post =
-    if t.committing && t.pending <> [] then begin
-      let h = Hashtbl.copy t.committed in
-      apply_pending h t.pending;
-      Some h
-    end
-    else None
-  in
-  let show = function
-    | None -> "<absent>"
-    | Some b -> Printf.sprintf "%d bytes (%08x)" (Bytes.length b) (Hashtbl.hash b)
-  in
-  let v_pre = ref [] and v_post = ref [] in
+  let raised = ref [] in
+  let actual = Hashtbl.create 256 in
   List.iter
     (fun page ->
       for slot = 0 to slots - 1 do
         match (try Ok (read ~page ~slot) with e -> Error (Printexc.to_string e)) with
+        | Ok v -> Option.iter (fun b -> Hashtbl.replace actual (page, slot) b) v
         | Error msg ->
-            let v = Printf.sprintf "page %d slot %d: read raised %s" page slot msg in
-            v_pre := v :: !v_pre;
-            v_post := v :: !v_post
-        | Ok actual ->
-            let cmp map acc =
-              let expect = Hashtbl.find_opt map (page, slot) in
-              if actual <> expect then
-                acc :=
-                  Printf.sprintf "page %d slot %d: expected %s, found %s" page slot
-                    (show expect) (show actual)
-                  :: !acc
-            in
-            cmp t.committed v_pre;
-            Option.iter (fun m -> cmp m v_post) post
+            raised :=
+              Printf.sprintf "page %d slot %d: read raised %s" page slot msg :: !raised
       done)
     pages;
-  match (List.rev !v_pre, post) with
-  | [], _ -> []
-  | _, Some _ when !v_post = [] -> []
-  | pre, _ -> pre
+  let state = Hashtbl.copy t.base in
+  let apply (_, writes) =
+    List.iter
+      (fun (k, v) ->
+        match v with
+        | Some b -> Hashtbl.replace state k b
+        | None -> Hashtbl.remove state k)
+      writes
+  in
+  let diffs () =
+    let ds = ref [] in
+    List.iter
+      (fun page ->
+        for slot = 0 to slots - 1 do
+          let expect = Hashtbl.find_opt state (page, slot) in
+          let found = Hashtbl.find_opt actual (page, slot) in
+          if expect <> found then
+            ds :=
+              Printf.sprintf "page %d slot %d: expected %s, found %s" page slot
+                (show expect) (show found)
+              :: !ds
+        done)
+      pages;
+    List.rev !ds
+  in
+  let commits = List.rev t.commits in
+  let rec skip k = function
+    | c :: rest when k < t.durable ->
+        apply c;
+        skip (k + 1) rest
+    | rest -> rest
+  in
+  let rest = skip 0 commits in
+  let rec sweep rest =
+    match (diffs (), rest) with
+    | [], _ -> []
+    | ds, [] ->
+        Printf.sprintf
+          "no commit-prefix state matches (durable watermark %d, %d commits); \
+           diffs against the full commit order follow"
+          t.durable (List.length commits)
+        :: ds
+    | _, c :: rest ->
+        apply c;
+        sweep rest
+  in
+  match !raised with [] -> sweep rest | rs -> List.rev rs @ sweep rest

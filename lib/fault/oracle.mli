@@ -1,50 +1,67 @@
 (** Model-based recovery oracle.
 
-    A plain hash table tracks what every (page, slot) must hold after a
-    crash and restart: the committed state, plus — for a single active
-    transaction — its pending writes, which must vanish on rollback and
-    must appear atomically on commit. The workload driver mirrors every
-    {e successful} engine call into the oracle; after a crash,
-    {!check} compares the reopened engine against the model. *)
+    Tracks every live transaction's write set, the global commit order
+    and a durable watermark (how many commits a completed barrier has
+    settled). The workload driver mirrors every {e successful} write
+    into the oracle; after a crash and restart the database must equal
+    the setup state plus some {e prefix} of the commit order — the
+    transaction log is sequential, so a later commit record can never be
+    durable without every earlier one — and the prefix must reach at
+    least the watermark. Rolled-back transactions (voluntary aborts,
+    conflict losers, transactions caught live by the crash) are absent
+    from the commit order, so any surviving effect of theirs fails the
+    prefix match.
+
+    The serial engine forces the log at every commit, so the serial
+    driver raises the watermark to the commit count as each commit
+    returns and the check reduces to "exactly the committed state". A
+    session driver raises it at each group barrier instead. *)
 
 type t
 
 type outcome =
-  | Rolled_back  (** the active transaction must be gone after recovery *)
+  | Settled  (** no transaction was mid-commit at the crash *)
   | In_doubt
-      (** the crash hit during commit: recovery may keep or drop the
-          transaction, but must do so atomically *)
+      (** the crash hit inside a commit call: that transaction's record
+          may or may not be durable, so it joins the commit order as an
+          optional last entry *)
 
 val create : unit -> t
 
 val seed : t -> page:int -> slot:int -> bytes -> unit
 (** Record a setup-time value that is already durable (pre-campaign). *)
 
-val begin_txn : t -> unit
+val begin_txn : t -> txn:int -> unit
 
-val note : t -> page:int -> slot:int -> bytes option -> unit
-(** Mirror one successful engine mutation: [Some data] for insert/update,
-    [None] for delete. Inside a transaction the write is pending;
-    outside, it is applied to the committed state directly. *)
+val note : t -> txn:int -> page:int -> slot:int -> bytes option -> unit
+(** Mirror one successful write of transaction [txn]: [Some data] for
+    insert/update, [None] for delete. *)
 
-val current : t -> page:int -> slot:int -> bytes option
-(** The transaction's own view (pending overlaid on committed) — what a
-    read through the engine would return right now. *)
-
-val start_commit : t -> unit
-(** Call immediately before [Ipl_engine.commit]: from here until
+val start_commit : t -> txn:int -> unit
+(** Call immediately before the commit call: from here until
     {!end_commit} the transaction is in doubt. *)
 
-val end_commit : t -> unit
-val abort : t -> unit
+val end_commit : t -> txn:int -> unit
+(** The commit call returned: the transaction takes the next position in
+    the commit order; it is durable once {!durable} passes it. *)
+
+val abort : t -> txn:int -> unit
+(** Voluntary abort or conflict-doomed rollback: the write set vanishes. *)
+
+val durable : t -> int -> unit
+(** Raise the durable watermark: the first [n] commits in commit order
+    have been settled by a completed barrier. Monotonic; lower values are
+    ignored. *)
 
 val crash : t -> outcome
-(** Resolve the model after a power loss. *)
+(** Resolve the model after a power loss: live transactions roll back, a
+    mid-commit transaction becomes the optional tail of the commit
+    order. *)
 
 val check :
   t -> read:(page:int -> slot:int -> bytes option) -> pages:int list -> slots:int -> string list
 (** Read back slots [0..slots-1] of every page through [read] (normally
     [Ipl_engine.read] on the restarted engine) and return human-readable
-    violations; [[]] means the recovered state is exactly the model (or,
-    for an in-doubt transaction, exactly one of its two legal states).
-    A [read] that raises is itself a violation. *)
+    violations; [[]] means the recovered state equals the setup state
+    plus commits [0..k] for some [k] between the durable watermark and
+    the full commit order. A [read] that raises is itself a violation. *)

@@ -1,8 +1,12 @@
-(** Deterministic transactional workload for the crash campaign.
+(** Deterministic transactional workload for the crash campaigns.
 
-    The same [spec] always produces the same stream of engine calls —
-    and therefore the same stream of flash operations — which is what
-    lets {!Campaign} count operations once and then crash at each index. *)
+    The same [spec] always produces the same transaction plans
+    ({!Ipl_txn.Session.draw_plans}, without a read phase) and therefore,
+    for a given driver, the same stream of flash operations — which is
+    what lets {!Campaign} count operations once and then crash at each
+    index. Two drivers consume the plans: {!run}, the serial engine loop,
+    and {!run_sessions}, the {!Ipl_txn.Session} scheduler. Both mirror
+    every successful write, commit and abort into the {!Oracle}. *)
 
 type spec = {
   seed : int;
@@ -21,13 +25,8 @@ val max_slots : spec -> int
 
 val setup : Ipl_core.Ipl_engine.t -> Oracle.t -> spec -> int array
 (** Allocate the pages, load the initial records (mirrored into the
-    oracle as already-committed), commit and checkpoint. Returns the page
+    oracle as already durable), commit and checkpoint. Returns the page
     ids the run will use. *)
-
-val run : Ipl_core.Ipl_engine.t -> Oracle.t -> spec -> pages:int array -> unit
-(** Execute the transaction mix, mirroring every successful engine call
-    into the oracle. Raises whatever the engine raises — under a fault
-    plan, typically {!Flash_sim.Flash_chip.Power_loss}. *)
 
 type resilient_outcome = {
   committed : int;
@@ -36,36 +35,25 @@ type resilient_outcome = {
   read_failures : int;  (** transactions lost to [Read_failed] *)
 }
 
-type concurrent_outcome = {
-  committed_txns : int;
-  aborted_txns : int;  (** voluntary aborts plus conflict-doomed rollbacks *)
-  conflicts : int;  (** write-write conflicts detected by the MVCC layer *)
-}
+val run : Ipl_core.Ipl_engine.t -> Oracle.t -> spec -> pages:int array -> resilient_outcome
+(** Execute the plans one transaction at a time through the engine's
+    result API. Each commit forces the log, so the oracle's durable
+    watermark rises to the commit count as soon as [commit] returns. A
+    transaction hitting [Device_degraded]/[Read_failed] is aborted, and
+    degradation ends the run — the remaining transactions could only be
+    refused. {!Flash_sim.Flash_chip.Power_loss} escapes, for plans that
+    crash the chip. *)
 
-val setup_concurrent : Ipl_core.Ipl_engine.t -> Concurrent_oracle.t -> spec -> int array
-(** {!setup}, mirroring into the concurrent-history oracle instead. *)
-
-val run_concurrent :
+val run_sessions :
   Ipl_core.Ipl_engine.t ->
-  Concurrent_oracle.t ->
+  Oracle.t ->
   spec ->
   sessions:int ->
   pages:int array ->
-  concurrent_outcome
-(** The same transaction mix interleaved round-robin over [sessions]
-    concurrent {!Ipl_txn.Mvcc} transactions with a group-commit window of
-    [sessions]. Deterministic for a fixed [(spec, sessions)], so the
-    crash campaign can count flash operations once and crash each re-run
-    at a chosen index. Every successful MVCC write is mirrored into the
-    oracle; the durable watermark follows the group barriers. Raises
-    whatever the engine raises — under a fault plan, typically
+  Ipl_txn.Session.outcome
+(** The same plans through {!Ipl_txn.Session.run} with [sessions]
+    clients and a group-commit window of [sessions]; its observer feeds
+    the oracle, and the durable watermark follows the group barriers.
+    Deterministic for a fixed [(spec, sessions)]. Raises whatever the
+    engine raises — under a fault plan, typically
     {!Flash_sim.Flash_chip.Power_loss}. *)
-
-val run_resilient :
-  Ipl_core.Ipl_engine.t -> Oracle.t -> spec -> pages:int array -> resilient_outcome
-(** The same mix through the exception-free entry points
-    ([Ipl_engine.commit_result] etc.), for campaigns that inject device
-    failures rather than crashes: a transaction hitting
-    [Device_degraded]/[Read_failed] is aborted (mirrored into the
-    oracle), and degradation ends the run. {!Flash_sim.Flash_chip.Power_loss}
-    still escapes, for plans that also crash the chip. *)

@@ -7,6 +7,46 @@ type op =
 
 type plan = { ops : op list; aborting : bool; reads : (int * int) list }
 
+module Rng = Ipl_util.Rng
+
+(* The one place the record mix is drawn. The draw order — op count;
+   per op page, slot, kind, then the update's length and payload or the
+   insert's payload; abort; reads — is part of the contract: the bench's
+   logical digest and the crash campaigns' operation streams follow it. *)
+let draw_plans rng ~pages ~slots_per_page ~payload ~abort_fraction ~reads_per_txn n =
+  let bytes_of len = Bytes.of_string (Rng.alpha_string rng ~min:len ~max:len) in
+  let page () = pages.(Rng.int rng (Array.length pages)) in
+  Array.init n (fun _ ->
+      let nops = 1 + Rng.int rng 4 in
+      let ops =
+        List.init nops (fun _ ->
+            let page = page () in
+            let slot = Rng.int rng (slots_per_page * 2) in
+            let r = Rng.float rng 1.0 in
+            if r < 0.55 then
+              let len =
+                if Rng.chance rng 0.25 then 1 + Rng.int rng (2 * payload) else payload
+              in
+              Update { page; slot; data = bytes_of len }
+            else if r < 0.85 then Insert { page; data = bytes_of payload }
+            else Delete { page; slot })
+      in
+      let aborting = Rng.chance rng abort_fraction in
+      let reads =
+        List.init reads_per_txn (fun _ ->
+            let page = page () in
+            (page, Rng.int rng (slots_per_page * 2)))
+      in
+      { ops; aborting; reads })
+
+type event =
+  | Begin of int
+  | Write of { txn : int; page : int; slot : int; value : bytes option }
+  | Commit_start of int
+  | Commit_return of int
+  | Abort of int
+  | Durable of int
+
 type session_stats = {
   session : int;
   commits : int;
@@ -69,10 +109,39 @@ let tolerate ctx = function
 let defer_chunk = 128
 
 let run ?(group_window = 0) ?(compact_every = 0) ?(note_read = fun _ -> ()) ?pool
-    ~sessions ~plans engine =
+    ?observe ~sessions ~plans engine =
   if sessions < 1 then invalid_arg "Session.run: sessions < 1";
   let window = if group_window > 0 then group_window else sessions in
   let m = Mvcc.create ~group_window:window engine in
+  (* Observer hooks. Each matches on [observe] before building its event,
+     so an unobserved run allocates nothing for them. *)
+  let wrote tx op ~slot r =
+    (match (observe, r) with
+    | Some o, Ok () ->
+        let txn = Mvcc.txn_id tx in
+        o
+          (match op with
+          | Update { page; data; _ } | Insert { page; data } ->
+              Write { txn; page; slot; value = Some data }
+          | Delete { page; _ } -> Write { txn; page; slot; value = None })
+    | _ -> ());
+    r
+  in
+  let durable_seen = ref 0 in
+  let settled () =
+    match observe with
+    | None -> ()
+    | Some o ->
+        let n = Mvcc.flushed_commits m in
+        if n > !durable_seen then begin
+          durable_seen := n;
+          o (Durable n)
+        end
+  in
+  let flush () =
+    fail "flush" (Mvcc.flush m);
+    settled ()
+  in
   let committed = ref 0 and aborted = ref 0 and conflict_aborts = ref 0 in
   let finished_txns = ref 0 in
   let clients =
@@ -136,15 +205,20 @@ let run ?(group_window = 0) ?(compact_every = 0) ?(note_read = fun _ -> ()) ?poo
           s.begin_sim <- Engine.elapsed engine;
           s.begin_host <- Ipl_util.Clock.now_s ();
           let tx = fail "begin" (Mvcc.begin_txn m) in
+          (match observe with Some o -> o (Begin (Mvcc.txn_id tx)) | None -> ());
           s.state <- In_txn { tx; plan; remaining = plan.ops; conflicted = false };
           true
         end
     | In_txn { tx; plan; remaining = op :: rest; conflicted } ->
         let r =
           match op with
-          | Update { page; slot; data } -> Mvcc.update m tx ~page ~slot data
-          | Insert { page; data } -> Result.map ignore (Mvcc.insert m tx ~page data)
-          | Delete { page; slot } -> Mvcc.delete m tx ~page ~slot
+          | Update { page; slot; data } ->
+              wrote tx op ~slot (Mvcc.update m tx ~page ~slot data)
+          | Insert { page; data } -> (
+              match Mvcc.insert m tx ~page data with
+              | Ok slot -> wrote tx op ~slot (Ok ())
+              | Error e -> Error e)
+          | Delete { page; slot } -> wrote tx op ~slot (Mvcc.delete m tx ~page ~slot)
         in
         tolerate "op" r;
         let conflicted =
@@ -156,18 +230,17 @@ let run ?(group_window = 0) ?(compact_every = 0) ?(note_read = fun _ -> ()) ?poo
         s.state <- In_txn { tx; plan; remaining; conflicted };
         true
     | In_txn { tx; plan; remaining = []; conflicted } ->
-        (if conflicted then begin
+        (if conflicted || plan.aborting then begin
            fail "abort" (Mvcc.abort m tx);
-           incr conflict_aborts;
-           s.state <- Reading plan.reads
-         end
-         else if plan.aborting then begin
-           fail "abort" (Mvcc.abort m tx);
-           incr aborted;
+           (match observe with Some o -> o (Abort (Mvcc.txn_id tx)) | None -> ());
+           incr (if conflicted then conflict_aborts else aborted);
            s.state <- Reading plan.reads
          end
          else begin
+           (match observe with Some o -> o (Commit_start (Mvcc.txn_id tx)) | None -> ());
            fail "commit" (Mvcc.commit m tx);
+           (match observe with Some o -> o (Commit_return (Mvcc.txn_id tx)) | None -> ());
+           settled ();
            incr committed;
            (* Resume once the group barrier has settled this commit. *)
            s.state <- Await_flush { seq = !committed; reads = plan.reads }
@@ -203,7 +276,7 @@ let run ?(group_window = 0) ?(compact_every = 0) ?(note_read = fun _ -> ()) ?poo
        grow any further this round, so settle it now even though the
        window isn't full. *)
     if (not !progressed) && not (all_done ()) then
-      if Mvcc.pending m > 0 then fail "flush" (Mvcc.flush m)
+      if Mvcc.pending m > 0 then flush ()
       else
         (* Cannot happen: a non-finished session either progresses or
            waits on a pending commit. Guard against a scheduler bug
@@ -211,7 +284,7 @@ let run ?(group_window = 0) ?(compact_every = 0) ?(note_read = fun _ -> ()) ?poo
         failwith "Session.run: deadlock with no pending commits"
   done;
   resolve_deferred ();
-  fail "flush" (Mvcc.flush m);
+  flush ();
   {
     committed = !committed;
     aborted = !aborted;

@@ -24,6 +24,39 @@ type plan = {
   reads : (int * int) list;  (** post-commit read phase: (page, slot) *)
 }
 
+val draw_plans :
+  Ipl_util.Rng.t ->
+  pages:int array ->
+  slots_per_page:int ->
+  payload:int ->
+  abort_fraction:float ->
+  reads_per_txn:int ->
+  int ->
+  plan array
+(** [draw_plans rng ~pages ... n] draws [n] transactions of the record
+    mix: 1-4 operations each on pages picked uniformly from [pages] and
+    slots below [2 * slots_per_page] (so a share of updates and deletes
+    target dead slots), 55/30/15 update/insert/delete, a quarter of the
+    updates changing the record's length (1 to [2 * payload] bytes,
+    otherwise [payload]), inserts of [payload] bytes, [abort_fraction]
+    of the transactions aborting voluntarily, and [reads_per_txn]
+    post-commit point reads. The draws come from [rng] in plan order, so
+    the same generator state always yields the same plans. *)
+
+type event =
+  | Begin of int  (** transaction id ({!Mvcc.txn_id}) *)
+  | Write of { txn : int; page : int; slot : int; value : bytes option }
+      (** a successful write: [Some data] for an update or an insert (with
+          the slot the insert got), [None] for a delete *)
+  | Commit_start of int  (** [Mvcc.commit] is about to run *)
+  | Commit_return of int
+      (** [Mvcc.commit] returned: the commit holds the next position in
+          commit order; durability waits for a barrier *)
+  | Abort of int  (** voluntary or conflict-doomed rollback *)
+  | Durable of int
+      (** a group barrier raised {!Mvcc.flushed_commits} to this count *)
+(** What {!run} reports to its observer, in schedule order. *)
+
 type session_stats = {
   session : int;  (** session index, [0 .. sessions-1] *)
   commits : int;  (** transactions this session saw through to durable *)
@@ -49,6 +82,7 @@ val run :
   ?compact_every:int ->
   ?note_read:(bytes option -> unit) ->
   ?pool:Par.Domain_pool.t ->
+  ?observe:(event -> unit) ->
   sessions:int ->
   plans:plan array ->
   Ipl_core.Ipl_engine.t ->
@@ -67,4 +101,9 @@ val run :
     by exactly the same state as the serial path) and the pure snapshot
     walks are evaluated in chunks on the pool, with [note_read] invoked
     in the original order. Outcome and read values are identical with
-    and without a pool, for any job count. *)
+    and without a pool, for any job count.
+
+    [observe] sees every transaction boundary, successful write and
+    durable-watermark rise as it happens — what a crash checker needs to
+    model the history. It is read-only: the schedule is the same with or
+    without it, and without it no event is built. *)

@@ -15,6 +15,7 @@ module Engine = Ipl_core.Ipl_engine
 module Config = Ipl_core.Ipl_config
 module Json = Ipl_util.Json
 module Rng = Ipl_util.Rng
+module Session = Ipl_txn.Session
 
 type spec = {
   seed : int;
@@ -120,12 +121,10 @@ let fatal f =
     | Resilience.Bbm.Uncorrectable _ ) as e ->
       failwith ("Obs_bench: device fault: " ^ Printexc.to_string e)
 
-(* The same OLTP-ish mix as the fault campaign (55% update / 30% insert /
-   15% delete in 1-4-op transactions, a slice of them aborted), plus a
-   read phase after every transaction — the read-heavy traffic the
-   log-record cache exists for. Seeded so every run of the same spec
-   produces the same event stream. Live slots are tracked so
-   updates/deletes mostly hit real records.
+(* The record mix of the fault campaign ({!Ipl_txn.Session.draw_plans}),
+   plus a read phase after every transaction — the read-heavy traffic
+   the log-record cache exists for. Seeded so every run of the same spec
+   produces the same event stream.
 
    Read results (and the commit/abort tally) are folded into a CRC-32
    digest: the workload's logical outcome, which must be identical for
@@ -158,67 +157,43 @@ let run_workload spec engine tracer metrics ~pool =
   let rng = Rng.of_int spec.seed in
   let bytes_of len = Bytes.of_string (Rng.alpha_string rng ~min:len ~max:len) in
   let pages = Array.init spec.pages (fun _ -> ok (Engine.allocate_page engine)) in
-  let live = Hashtbl.create (spec.pages * spec.slots_per_page) in
   (* Seed every page with an initial set of records. *)
   let tx = ok (Engine.begin_txn engine) in
   Array.iter
     (fun p ->
       for _ = 1 to spec.slots_per_page do
         match Engine.insert engine ~tx ~page:p (bytes_of spec.payload) with
-        | Ok slot -> Hashtbl.replace live (p, slot) ()
+        | Ok _ -> ()
         | Error e -> failwith ("Obs_bench: setup insert: " ^ Engine.error_to_string e)
       done)
     pages;
   ok (Engine.commit engine tx);
   ok (Engine.checkpoint engine);
   let setup_s = wall () -. wall0 in
-  (* Draw every transaction's parameters up front — in exactly the order
-     the serial loop drew them, so the RNG stream (and hence the logical
-     workload and its digest) is unchanged. Having the whole schedule in
-     hand lets the loop software-pipeline across transactions: txn
+  (* Draw every transaction's parameters up front. Having the whole
+     schedule in hand lets the loop software-pipeline across transactions: txn
      [n+1]'s write-set prefetch is submitted before txn [n]'s commit, so
      the commit's durability wait and the next transaction's cold misses
      overlap on the channels. *)
   let plans =
-    Array.init spec.transactions (fun _ ->
-        let nops = 1 + Rng.int rng 4 in
-        let ops =
-          List.init nops (fun _ ->
-              let page = pages.(Rng.int rng (Array.length pages)) in
-              let slot = Rng.int rng (spec.slots_per_page * 2) in
-              let r = Rng.float rng 1.0 in
-              if r < 0.55 then
-                let len =
-                  if Rng.chance rng 0.25 then 1 + Rng.int rng (2 * spec.payload)
-                  else spec.payload
-                in
-                `Update (page, slot, bytes_of len)
-              else if r < 0.85 then `Insert (page, bytes_of spec.payload)
-              else `Delete (page, slot))
-        in
-        let aborting = Rng.chance rng spec.abort_fraction in
-        let reads =
-          List.init spec.reads_per_txn (fun _ ->
-              let page = pages.(Rng.int rng (Array.length pages)) in
-              let slot = Rng.int rng (spec.slots_per_page * 2) in
-              (page, slot))
-        in
-        (ops, aborting, reads))
+    Session.draw_plans rng ~pages ~slots_per_page:spec.slots_per_page ~payload:spec.payload
+      ~abort_fraction:spec.abort_fraction ~reads_per_txn:spec.reads_per_txn spec.transactions
   in
   let run_serial () =
     let write_set ops =
-      List.map (function `Update (p, _, _) | `Insert (p, _) | `Delete (p, _) -> p) ops
+      List.map
+        Session.(function Update { page; _ } | Insert { page; _ } | Delete { page; _ } -> page)
+        ops
     in
     let start_ws n =
       if n < spec.transactions then
-        let ops, _, _ = plans.(n) in
-        Some (ok (Engine.prefetch_start engine (write_set ops)))
+        Some (ok (Engine.prefetch_start engine (write_set plans.(n).Session.ops)))
       else None
     in
     (* In-flight prefetch of the NEXT transaction's write set. *)
     let next_ws = ref (start_ws 0) in
     for n = 1 to spec.transactions do
-      let ops, aborting, reads = plans.(n - 1) in
+      let { Session.ops; aborting; reads } = plans.(n - 1) in
       let tx = ok (Engine.begin_txn engine) in
       (match !next_ws with
       | Some tok -> ok (Engine.prefetch_finish engine tok)
@@ -240,20 +215,17 @@ let run_workload spec engine tracer metrics ~pool =
       in
       List.iter
         (function
-          | `Update (page, slot, data) -> (
+          | Session.Update { page; slot; data } -> (
               match
                 timed elapsed l_update (fun () -> Engine.update engine ~tx ~page ~slot data)
               with
-              | Ok () -> ()
-              | Error _ -> ())
-          | `Insert (page, data) -> (
+              | Ok () | Error _ -> ())
+          | Session.Insert { page; data } -> (
               match timed elapsed l_insert (fun () -> Engine.insert engine ~tx ~page data) with
-              | Ok slot -> Hashtbl.replace live (page, slot) ()
-              | Error _ -> ())
-          | `Delete (page, slot) -> (
+              | Ok _ | Error _ -> ())
+          | Session.Delete { page; slot } -> (
               match timed elapsed l_delete (fun () -> Engine.delete engine ~tx ~page ~slot) with
-              | Ok () -> Hashtbl.remove live (page, slot)
-              | Error _ -> ()))
+              | Ok () | Error _ -> ()))
         ops;
       (* On the commit path this transaction's reads and the next
          transaction's write set are submitted {e before} the commit: its
@@ -300,30 +272,13 @@ let run_workload spec engine tracer metrics ~pool =
          serial operation order — and hence the digest — exactly; more
          sessions interleave round-robin, so commits coalesce into group
          batches and write-write conflicts become possible. *)
-      let splans =
-        Array.map
-          (fun (ops, aborting, reads) ->
-            {
-              Ipl_txn.Session.ops =
-                List.map
-                  (function
-                    | `Update (page, slot, data) ->
-                        Ipl_txn.Session.Update { page; slot; data }
-                    | `Insert (page, data) -> Ipl_txn.Session.Insert { page; data }
-                    | `Delete (page, slot) -> Ipl_txn.Session.Delete { page; slot })
-                  ops;
-              aborting;
-              reads;
-            })
-          plans
-      in
       (* The pool only ever carries the sessions' pure read resolution
          ({!Ipl_txn.Session.run}); with one job the serial code path runs
          untouched. *)
       let o =
         Ipl_txn.Session.run ~compact_every:spec.compact_every ~note_read
           ?pool:(if Par.Domain_pool.jobs pool > 1 then Some pool else None)
-          ~sessions:spec.sessions ~plans:splans engine
+          ~sessions:spec.sessions ~plans engine
       in
       ok (Engine.checkpoint engine);
       Obs.Metrics.Counter.add c_commit o.Ipl_txn.Session.committed;

@@ -233,13 +233,19 @@ let db vals =
   List.iter (fun (k, v) -> Hashtbl.replace h k (Bytes.of_string v)) vals;
   h
 
+(* The serial driver's contract: every commit is its own barrier, so the
+   watermark rises to the commit count as each commit returns. *)
+let serial_commit o ~txn =
+  Oracle.start_commit o ~txn;
+  Oracle.end_commit o ~txn;
+  Oracle.durable o txn
+
 let test_oracle_catches_lost_commit () =
   let o = Oracle.create () in
   Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "keep");
-  Oracle.begin_txn o;
-  Oracle.note o ~page:0 ~slot:1 (Some (Bytes.of_string "new"));
-  Oracle.start_commit o;
-  Oracle.end_commit o;
+  Oracle.begin_txn o ~txn:1;
+  Oracle.note o ~txn:1 ~page:0 ~slot:1 (Some (Bytes.of_string "new"));
+  serial_commit o ~txn:1;
   Alcotest.(check bool) "intact state passes" true
     (Oracle.check o ~read:(read_of (db [ ((0, 0), "keep"); ((0, 1), "new") ])) ~pages:[ 0 ]
        ~slots:4
@@ -250,9 +256,9 @@ let test_oracle_catches_lost_commit () =
 let test_oracle_catches_surviving_uncommitted () =
   let o = Oracle.create () in
   Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "base");
-  Oracle.begin_txn o;
-  Oracle.note o ~page:0 ~slot:0 (Some (Bytes.of_string "dirty"));
-  Alcotest.(check bool) "not in doubt" true (Oracle.crash o = Oracle.Rolled_back);
+  Oracle.begin_txn o ~txn:1;
+  Oracle.note o ~txn:1 ~page:0 ~slot:0 (Some (Bytes.of_string "dirty"));
+  Alcotest.(check bool) "not in doubt" true (Oracle.crash o = Oracle.Settled);
   Alcotest.(check bool) "rolled-back state passes" true
     (Oracle.check o ~read:(read_of (db [ ((0, 0), "base") ])) ~pages:[ 0 ] ~slots:2 = []);
   Alcotest.(check bool) "surviving uncommitted write flagged" true
@@ -262,10 +268,10 @@ let test_oracle_in_doubt_atomicity () =
   let o = Oracle.create () in
   Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "old0");
   Oracle.seed o ~page:0 ~slot:1 (Bytes.of_string "old1");
-  Oracle.begin_txn o;
-  Oracle.note o ~page:0 ~slot:0 (Some (Bytes.of_string "new0"));
-  Oracle.note o ~page:0 ~slot:1 (Some (Bytes.of_string "new1"));
-  Oracle.start_commit o;
+  Oracle.begin_txn o ~txn:1;
+  Oracle.note o ~txn:1 ~page:0 ~slot:0 (Some (Bytes.of_string "new0"));
+  Oracle.note o ~txn:1 ~page:0 ~slot:1 (Some (Bytes.of_string "new1"));
+  Oracle.start_commit o ~txn:1;
   Alcotest.(check bool) "in doubt" true (Oracle.crash o = Oracle.In_doubt);
   let check vals = Oracle.check o ~read:(read_of (db vals)) ~pages:[ 0 ] ~slots:2 in
   Alcotest.(check bool) "pre-commit state legal" true
@@ -274,6 +280,77 @@ let test_oracle_in_doubt_atomicity () =
     (check [ ((0, 0), "new0"); ((0, 1), "new1") ] = []);
   Alcotest.(check bool) "half-applied commit flagged" true
     (check [ ((0, 0), "new0"); ((0, 1), "old1") ] <> [])
+
+(* Group commit: transactions 1..n each write slot i of page 0 and
+   commit in order; the watermark says how many a barrier settled. *)
+let committed_history ~n ~durable =
+  let o = Oracle.create () in
+  Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "base");
+  for txn = 1 to n do
+    Oracle.begin_txn o ~txn
+  done;
+  for txn = 1 to n do
+    Oracle.note o ~txn ~page:0 ~slot:txn (Some (Bytes.of_string (Printf.sprintf "t%d" txn)));
+    Oracle.start_commit o ~txn;
+    Oracle.end_commit o ~txn
+  done;
+  Oracle.durable o durable;
+  o
+
+(* The database holding the setup state plus the writes of [txns]. *)
+let state_of txns =
+  db (((0, 0), "base") :: List.map (fun t -> ((0, t), Printf.sprintf "t%d" t)) txns)
+
+let check_state o txns =
+  Oracle.check o ~read:(read_of (state_of txns)) ~pages:[ 0 ] ~slots:8
+
+let test_oracle_skipped_commit () =
+  let o = committed_history ~n:3 ~durable:0 in
+  Alcotest.(check bool) "settled" true (Oracle.crash o = Oracle.Settled);
+  Alcotest.(check bool) "commit 2 missing between 1 and 3 flagged" true
+    (check_state o [ 1; 3 ] <> []);
+  Alcotest.(check bool) "commit 1 missing before 2 flagged" true (check_state o [ 2 ] <> [])
+
+let test_oracle_below_watermark () =
+  let o = committed_history ~n:3 ~durable:2 in
+  ignore (Oracle.crash o : Oracle.outcome);
+  Alcotest.(check bool) "nothing durable flagged" true (check_state o [] <> []);
+  Alcotest.(check bool) "one of two settled commits flagged" true (check_state o [ 1 ] <> []);
+  Alcotest.(check bool) "watermark itself passes" true (check_state o [ 1; 2 ] = [])
+
+let test_oracle_rolled_back_writes () =
+  (* Transaction 2 aborts voluntarily, transaction 3 is doomed by a
+     write-write conflict and rolled back; only 1 and 4 commit. *)
+  let o = Oracle.create () in
+  Oracle.seed o ~page:0 ~slot:0 (Bytes.of_string "base");
+  List.iter (fun txn -> Oracle.begin_txn o ~txn) [ 1; 2; 3; 4 ];
+  let write txn slot =
+    Oracle.note o ~txn ~page:0 ~slot (Some (Bytes.of_string (Printf.sprintf "t%d" txn)))
+  in
+  write 1 1;
+  write 2 2;
+  write 3 3;
+  Oracle.abort o ~txn:2;
+  Oracle.abort o ~txn:3;
+  serial_commit o ~txn:1;
+  write 4 4;
+  Oracle.start_commit o ~txn:4;
+  Oracle.end_commit o ~txn:4;
+  ignore (Oracle.crash o : Oracle.outcome);
+  Alcotest.(check bool) "committed prefix passes" true (check_state o [ 1; 4 ] = []);
+  Alcotest.(check bool) "aborted write flagged" true (check_state o [ 1; 2; 4 ] <> []);
+  Alcotest.(check bool) "conflict loser's write flagged" true (check_state o [ 1; 3 ] <> [])
+
+let test_oracle_every_prefix_passes () =
+  let n = 5 and durable = 2 in
+  let o = committed_history ~n ~durable in
+  ignore (Oracle.crash o : Oracle.outcome);
+  for k = 0 to n do
+    let prefix = List.init k (fun i -> i + 1) in
+    Alcotest.(check bool)
+      (Printf.sprintf "prefix %d of %d (watermark %d)" k n durable)
+      (k >= durable) (check_state o prefix = [])
+  done
 
 (* ---------------- the campaign ---------------- *)
 
@@ -288,6 +365,49 @@ let test_campaign_zero_violations () =
 let test_campaign_zero_violations_no_tear () =
   let r = Campaign.run ~tear:false ~sample:15 small_spec in
   Alcotest.(check int) "zero violations" 0 (List.length r.Campaign.violations)
+
+let test_session_campaign_zero_violations () =
+  let r = Campaign.run ~sessions:4 ~sample:20 small_spec in
+  Alcotest.(check bool) "crash points tested" true (r.Campaign.crash_points > 0);
+  Alcotest.(check int) "every restart recovered" r.Campaign.crash_points r.Campaign.recovered;
+  Alcotest.(check int) "zero violations" 0 (List.length r.Campaign.violations)
+
+let test_session_campaign_lazy () =
+  let r = Campaign.run ~sessions:4 ~lazy_mode:true ~sample:12 small_spec in
+  Alcotest.(check bool) "crash points tested" true (r.Campaign.crash_points > 0);
+  Alcotest.(check int) "every restart recovered" r.Campaign.crash_points r.Campaign.recovered;
+  Alcotest.(check int) "zero violations" 0 (List.length r.Campaign.violations)
+
+let test_session_golden_run_batches () =
+  (* The campaign's session driver must exercise group commit: with 4
+     sessions, barriers settle several commits each. *)
+  let chip = mk_chip () in
+  let engine =
+    Engine.create
+      ~config:{ Config.default with Config.recovery_enabled = true; buffer_pages = 8 }
+      chip
+  in
+  let oracle = Oracle.create () in
+  let pages = Workload.setup engine oracle small_spec in
+  let o = Workload.run_sessions engine oracle small_spec ~sessions:4 ~pages in
+  let st = o.Ipl_txn.Session.mvcc in
+  Alcotest.(check bool) "some commits" true (st.Ipl_txn.Mvcc.commits > 0);
+  Alcotest.(check bool) "fewer barriers than commits" true
+    (st.Ipl_txn.Mvcc.barriers < st.Ipl_txn.Mvcc.commits);
+  Alcotest.(check bool) "live state matches the oracle" true
+    (Oracle.check oracle
+       ~read:(fun ~page ~slot ->
+         match Engine.read engine ~page ~slot with
+         | Ok v -> v
+         | Error e -> Alcotest.fail (Engine.error_to_string e))
+       ~pages:(Array.to_list pages) ~slots:(Workload.max_slots small_spec)
+    = [])
+
+let test_broken_refuses_sessions () =
+  Alcotest.(check bool) "broken + sessions refused" true
+    (match Campaign.run ~broken:true ~sessions:4 ~sample:1 small_spec with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_campaign_catches_broken_commit () =
   (* With commit-time log forcing effectively disabled, committed
@@ -329,6 +449,11 @@ let () =
           Alcotest.test_case "catches surviving uncommitted" `Quick
             test_oracle_catches_surviving_uncommitted;
           Alcotest.test_case "in-doubt atomicity" `Quick test_oracle_in_doubt_atomicity;
+          Alcotest.test_case "skipped middle commit" `Quick test_oracle_skipped_commit;
+          Alcotest.test_case "below durable watermark" `Quick test_oracle_below_watermark;
+          Alcotest.test_case "rolled-back writes" `Quick test_oracle_rolled_back_writes;
+          Alcotest.test_case "every prefix from watermark passes" `Quick
+            test_oracle_every_prefix_passes;
         ] );
       ( "campaign",
         [
@@ -336,5 +461,11 @@ let () =
           Alcotest.test_case "zero violations (clean fail-stop)" `Quick
             test_campaign_zero_violations_no_tear;
           Alcotest.test_case "broken commit caught" `Quick test_campaign_catches_broken_commit;
+          Alcotest.test_case "broken mode refuses sessions" `Quick test_broken_refuses_sessions;
+          Alcotest.test_case "sessions: zero violations" `Quick
+            test_session_campaign_zero_violations;
+          Alcotest.test_case "sessions: lazy == eager" `Quick test_session_campaign_lazy;
+          Alcotest.test_case "sessions: golden run batches commits" `Quick
+            test_session_golden_run_batches;
         ] );
     ]

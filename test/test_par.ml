@@ -101,8 +101,8 @@ let test_campaign_jobs_equal () =
   Alcotest.(check bool) "report identical at jobs=4" true (serial = par)
 
 let test_campaign_concurrent_jobs_equal () =
-  let serial = Fault.Campaign.run_concurrent ~sample:8 ~sessions:4 ~jobs:1 campaign_spec in
-  let par = Fault.Campaign.run_concurrent ~sample:8 ~sessions:4 ~jobs:4 campaign_spec in
+  let serial = Fault.Campaign.run ~sample:8 ~sessions:4 ~jobs:1 campaign_spec in
+  let par = Fault.Campaign.run ~sample:8 ~sessions:4 ~jobs:4 campaign_spec in
   Alcotest.(check bool) "sweep found crash points" true (serial.Fault.Campaign.crash_points > 0);
   Alcotest.(check bool) "concurrent report identical at jobs=4" true (serial = par)
 
