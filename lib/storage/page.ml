@@ -52,6 +52,12 @@ let dir_start p = size p - (slot_entry_size * slot_count p)
 
 let is_live p i = i >= 0 && i < slot_count p && snd (slot p i) > 0
 
+let payload_offset p i =
+  if i < 0 || i >= slot_count p then -1
+  else
+    let pos = slot_pos p i in
+    if Bytes.get_uint16_le p (pos + 2) = 0 then -1 else Bytes.get_uint16_le p pos
+
 let read p i = if is_live p i then
     let off, len = slot p i in
     Some (Bytes.sub p off len)

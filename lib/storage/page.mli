@@ -42,6 +42,11 @@ val is_live : t -> int -> bool
 val read : t -> int -> bytes option
 (** Payload of a live slot; [None] for deleted or out-of-range slots. *)
 
+val payload_offset : t -> int -> int
+(** [payload_offset p slot] is the byte offset of a live slot's payload in
+    [to_bytes p], or -1 for a deleted or out-of-range slot: the zero-copy
+    form of {!read} for callers that decode fields in place. *)
+
 val insert : t -> bytes -> int option
 (** Add a record, reusing the lowest deleted slot if any. Returns the slot
     number, or [None] when the page cannot fit the payload. *)

@@ -137,6 +137,18 @@ let test_iter () =
   Page.iter (fun slot data -> seen := (slot, Bytes.to_string data) :: !seen) p;
   Alcotest.(check (list (pair int string))) "live only" [ (1, "b") ] !seen
 
+let test_payload_offset () =
+  let p = mk () in
+  ignore (Page.insert p (bytes_of_string "a"));
+  ignore (Page.insert p (bytes_of_string "hello"));
+  ignore (Page.delete p 0);
+  Page.compact p;
+  let off = Page.payload_offset p 1 in
+  Alcotest.(check string) "payload in place" "hello" (Bytes.sub_string (Page.to_bytes p) off 5);
+  Alcotest.(check int) "deleted slot" (-1) (Page.payload_offset p 0);
+  Alcotest.(check int) "past the directory" (-1) (Page.payload_offset p 2);
+  Alcotest.(check int) "negative slot" (-1) (Page.payload_offset p (-1))
+
 (* Property: a random sequence of inserts/updates/deletes tracked against a
    model Hashtbl always matches the page contents. *)
 let prop_page_vs_model =
@@ -182,9 +194,16 @@ let prop_page_vs_model =
       Hashtbl.iter
         (fun slot s ->
           match Page.read p slot with
-          | Some data -> assert (Bytes.to_string data = s)
+          | Some data ->
+              assert (Bytes.to_string data = s);
+              assert (
+                Bytes.sub_string (Page.to_bytes p) (Page.payload_offset p slot) (String.length s)
+                = s)
           | None -> assert false)
         model;
+      for slot = 0 to Page.slot_count p - 1 do
+        assert (Hashtbl.mem model slot = (Page.payload_offset p slot >= 0))
+      done;
       Page.live_records p = Hashtbl.length model)
 
 let test_record_roundtrip () =
@@ -241,6 +260,7 @@ let () =
           Alcotest.test_case "serialization roundtrip" `Quick test_serialization_roundtrip;
           Alcotest.test_case "bad magic rejected" `Quick test_bad_magic;
           Alcotest.test_case "iter over live" `Quick test_iter;
+          Alcotest.test_case "payload offset" `Quick test_payload_offset;
           QCheck_alcotest.to_alcotest prop_page_vs_model;
         ] );
       ( "record",
